@@ -25,6 +25,7 @@
 #include "phy/ofdm_envelope.h"
 #include "reader/conditioning.h"
 #include "reader/decode_workspace.h"
+#include "reader/slot_sync.h"
 #include "reader/uplink_decoder.h"
 #include "tag/energy_detector.h"
 #include "tag/modulator.h"
@@ -83,14 +84,19 @@ void BM_Conditioning(benchmark::State& state) {
 BENCHMARK(BM_Conditioning);
 
 void BM_PreambleCorrelation(benchmark::State& state) {
+  // One sync probe at the true frame start: every stream correlated with
+  // the preamble and ranked (find_frame runs one per candidate offset).
   const auto ct =
       reader::condition(shared_trace(), reader::MeasurementSource::kCsi);
-  const reader::UplinkDecoder dec(shared_decoder_config());
-  std::size_t stream = 0;
+  const auto cfg = shared_decoder_config();
+  const std::vector<double> tmpl = to_bipolar(cfg.preamble);
+  const double need =
+      cfg.min_preamble_fill * static_cast<double>(tmpl.size());
+  reader::DecodeWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dec.preamble_correlation(ct, stream, TimeUs{600'000}));
-    stream = (stream + 1) % ct.num_streams();
+    benchmark::DoNotOptimize(reader::correlate_and_rank(
+        ct, tmpl, TimeUs{600'000}, cfg.bit_duration_us, need,
+        cfg.num_good_streams, ws));
   }
 }
 BENCHMARK(BM_PreambleCorrelation);
@@ -99,8 +105,12 @@ void BM_FrameSync(benchmark::State& state) {
   const auto ct =
       reader::condition(shared_trace(), reader::MeasurementSource::kCsi);
   const reader::UplinkDecoder dec(shared_decoder_config());
+  reader::DecodeWorkspace ws;
+  TimeUs start{0};
+  double score = 0.0;
+  obs::DropReason failure{};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dec.find_frame(ct));
+    benchmark::DoNotOptimize(dec.find_frame(ct, ws, start, score, failure));
   }
 }
 BENCHMARK(BM_FrameSync);
@@ -345,20 +355,6 @@ bool run_json_report(const std::string& path, bool quick) {
         benchmark::DoNotOptimize(scalar_out.timestamps.data());
       },
       packets, iters));
-
-  // Batch entry point: four traces through one workspace per call. The
-  // per-packet cost should match full_decode_workspace (the batch API is
-  // a loop sharing scratch, not a different pipeline) and stay
-  // allocation-free once the result vector is warm.
-  const std::vector<wifi::CaptureTrace> batch(4, trace);
-  reader::DecodeWorkspace batch_ws;
-  std::vector<reader::UplinkDecodeResult> batch_results;
-  add("full_decode_batch", measure(
-      [&] {
-        dec.decode_batch_into(batch, batch_ws, batch_results);
-        benchmark::DoNotOptimize(batch_results.data());
-      },
-      packets * batch.size(), iters));
 
   report.set_meta("speedup_full_decode_vs_seed",
                   full_seed.ns_per_packet / full_ws.ns_per_packet);

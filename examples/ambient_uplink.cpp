@@ -8,6 +8,7 @@
 //
 // Build & run:   ./build/examples/ambient_uplink
 #include <cstdio>
+#include <vector>
 
 #include "core/uplink_sim.h"
 #include "reader/streaming_decoder.h"
@@ -19,6 +20,15 @@
 namespace {
 
 using namespace wb;
+
+/// Keeps a copy of every frame the streaming decoder emits (the result it
+/// hands to on_frame() is reused scratch).
+struct FrameCollector final : reader::FrameSink {
+  std::vector<reader::UplinkDecodeResult> frames;
+  void on_frame(const reader::UplinkDecodeResult& frame) override {
+    frames.push_back(frame);
+  }
+};
 
 /// Decode one tag frame carried by an arbitrary ambient timeline; returns
 /// bit errors (or payload size when sync fails).
@@ -139,12 +149,11 @@ int main() {
     scfg.decoder.payload_bits = payload.size();
     scfg.decoder.bit_duration_us = bit_us;
     reader::StreamingUplinkDecoder dec(scfg);
-    std::vector<reader::UplinkDecodeResult> frames;
-    for (const auto& rec : trace) {
-      for (auto& f : dec.push(rec)) frames.push_back(std::move(f));
-    }
-    const std::size_t live = frames.size();
-    for (auto& f : dec.flush()) frames.push_back(std::move(f));
+    FrameCollector sink;
+    for (const auto& rec : trace) dec.push(rec, sink);
+    const std::size_t live = sink.frames.size();
+    dec.flush(sink);
+    const auto& frames = sink.frames;
     const std::size_t errors =
         frames.empty() ? payload.size()
                        : hamming_distance(payload, frames.front().payload);

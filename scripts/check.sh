@@ -27,11 +27,16 @@
 #             sustain 8 concurrent sessions with zero steady-state
 #             ingest/dispatch allocations and a lossless drain
 #             (validate_bench_serve.py)
+#   perfbench end-to-end benchmark self-check: perfbench/run.py builds the
+#             benchmark from this tree (Release, into build-perf/perfbench/)
+#             and runs every workload briefly, untraced and traced; fails
+#             when a src/ API the benchmark calls is gone or one of its
+#             output checks breaks
 #
 # Usage: scripts/check.sh [-j N] [--fast] [--only STEP ...]
 #   --fast        analyze + plain build (build-fast/, no sanitizers) + unit
 #                 tests — the doc-change loop; the sanitizer matrix, tidy,
-#                 and the perf gate are skipped
+#                 and the perf + perfbench gates are skipped
 #   --only STEP   run just the named step(s), in the order given
 #                 (repeatable; step names as listed above)
 # Exits non-zero on the first failure.
@@ -51,7 +56,7 @@ while [ $# -gt 0 ]; do
       [ $# -ge 2 ] || { echo "--only needs a step name" >&2; exit 2; }
       ONLY+=("$2"); shift 2 ;;
     -h|--help)
-      sed -n '2,31p' "$0"; exit 0 ;;
+      sed -n '2,36p' "$0"; exit 0 ;;
     *) echo "usage: scripts/check.sh [-j N] [--fast] [--only STEP ...]" >&2
        exit 2 ;;
   esac
@@ -263,12 +268,16 @@ step_perf() {
     --out "$PERF_DIR/BENCH_serve.json"
 }
 
+step_perfbench() {
+  CARGO_TARGET_DIR="$PERF_DIR" python3 perfbench/run.py --self-check
+}
+
 if [ ${#ONLY[@]} -gt 0 ]; then
   STEPS=("${ONLY[@]}")
 elif [ "$FAST" -eq 1 ]; then
   STEPS=(analyze build_fast test_fast)
 else
-  STEPS=(analyze build test tsan clang obs tidy perf)
+  STEPS=(analyze build test tsan clang obs tidy perf perfbench)
 fi
 
 N=${#STEPS[@]}
@@ -276,9 +285,9 @@ i=0
 for step in "${STEPS[@]}"; do
   i=$((i + 1))
   case "$step" in
-    analyze|build|test|tsan|clang|obs|tidy|perf|build_fast|test_fast) ;;
+    analyze|build|test|tsan|clang|obs|tidy|perf|perfbench|build_fast|test_fast) ;;
     *) echo "unknown step: $step (steps: analyze build test tsan clang obs" \
-            "tidy perf)" >&2; exit 2 ;;
+            "tidy perf perfbench)" >&2; exit 2 ;;
   esac
   echo "==> [$i/$N] $step"
   "step_$step"

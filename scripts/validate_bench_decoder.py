@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a BENCH_decoder.json produced by `bench_decoder_micro --json-out`.
 
-Checks the schema (meta + the eight measurement rows) and enforces two
+Checks the schema (meta + the seven measurement rows) and enforces two
 steady-state gates on the workspace rows: the decode hot path must not
 allocate per call (DESIGN.md §10), and the stream-batched conditioning
 kernels must beat the frozen scalar reference by --min-conditioning-speedup
@@ -26,10 +26,8 @@ REQUIRED_ROWS = (
     "full_decode_workspace",
     "conditioning_workspace",
     "conditioning_scalar",
-    "full_decode_batch",
 )
-WORKSPACE_ROWS = ("full_decode_workspace", "conditioning_workspace",
-                  "full_decode_batch")
+WORKSPACE_ROWS = ("full_decode_workspace", "conditioning_workspace")
 
 # Budgeted steady-state allocations per decode for the workspace path.
 MAX_WORKSPACE_ALLOCS = 0

@@ -57,6 +57,12 @@ phy::UplinkChannelParams make_channel_params(
 
 namespace {
 
+/// Per-run frame seed: drives the payload, traffic, NIC noise and (unless
+/// channel_seed pins it) the channel draw of one simulated frame.
+std::uint64_t frame_seed(const UplinkExperimentParams& p, std::uint64_t run) {
+  return p.seed * 0x9e3779b97f4a7c15ull + run * 0xc2b2ae3d27d4eb4full + 1;
+}
+
 /// One simulated frame: the payload the tag sent and the raw capture.
 struct SimOutput {
   BitVec sent;
@@ -66,8 +72,7 @@ struct SimOutput {
 SimOutput simulate_one_frame(const UplinkExperimentParams& p,
                              std::uint64_t run) {
   const TimeUs bit_us = p.bit_duration_us();
-  const std::uint64_t seed =
-      p.seed * 0x9e3779b97f4a7c15ull + run * 0xc2b2ae3d27d4eb4full + 1;
+  const std::uint64_t seed = frame_seed(p, run);
 
   UplinkSimConfig sim_cfg;
   sim_cfg.channel = make_channel_params(p);
@@ -94,6 +99,28 @@ SimOutput simulate_one_frame(const UplinkExperimentParams& p,
   out.sent = payload;
   out.trace = sim.run(timeline, mod);
   return out;
+}
+
+/// Adds one run's outcome: a failed sync counts every bit wrong.
+template <typename DecodeResult>
+void add_run(BerCounter& ber, const BitVec& sent,
+             const DecodeResult& result) {
+  if (result.found) {
+    ber.add(sent, result.payload);
+  } else {
+    ber.add_counts(sent.size(), sent.size());
+  }
+}
+
+BerMeasurement to_measurement(const BerCounter& ber,
+                              std::size_t failed_syncs) {
+  BerMeasurement m;
+  m.ber = ber.ber_floored();
+  m.ber_raw = ber.ber();
+  m.bits = ber.bits();
+  m.errors = ber.errors();
+  m.failed_syncs = failed_syncs;
+  return m;
 }
 
 /// Decoder configuration for the plain uplink experiments. Run-invariant
@@ -123,144 +150,76 @@ reader::UplinkDecoderConfig experiment_decoder_config(
 
 BerMeasurement measure_uplink_ber(const UplinkExperimentParams& p) {
   BerCounter ber;
-  BerMeasurement m;
+  std::size_t failed_syncs = 0;
   const reader::UplinkDecoder decoder(experiment_decoder_config(p));
   reader::DecodeWorkspace ws;
   reader::UplinkDecodeResult result;
   for (std::size_t run = 0; run < p.runs; ++run) {
     const auto out = simulate_one_frame(p, run);
     decoder.decode_into(out.trace, ws, result);
-    if (!result.found) {
-      ++m.failed_syncs;
-      ber.add_counts(out.sent.size(), out.sent.size());
-      continue;
-    }
-    ber.add(out.sent, result.payload);
+    if (!result.found) ++failed_syncs;
+    add_run(ber, out.sent, result);
   }
-  m.ber = ber.ber_floored();
-  m.ber_raw = ber.ber();
-  m.bits = ber.bits();
-  m.errors = ber.errors();
-  return m;
+  return to_measurement(ber, failed_syncs);
 }
 
 BerMeasurement measure_uplink_ber_random_stream(
     const UplinkExperimentParams& p) {
-  UplinkExperimentParams q = p;
-  q.num_good_streams = 1;
-
+  // The full pipeline's frames and conditioning, decoded from one
+  // randomly chosen stream per run.
+  reader::UplinkDecoderConfig dec = experiment_decoder_config(p);
+  dec.num_good_streams = 1;
+  const reader::UplinkDecoder decoder(dec);
+  reader::DecodeWorkspace ws;
+  reader::ConditionedTrace ct;
+  reader::ConditionedTrace single;
+  single.streams.resize(1);
+  reader::UplinkDecodeResult result;
   BerCounter ber;
-  BerMeasurement m;
-  for (std::size_t run = 0; run < q.runs; ++run) {
-    // Decode with one random stream: emulate by conditioning the trace and
-    // keeping a single randomly chosen stream.
-    const TimeUs bit_us = q.bit_duration_us();
-    const std::uint64_t seed =
-        q.seed * 0x9e3779b97f4a7c15ull + run * 0xc2b2ae3d27d4eb4full + 1;
-    UplinkSimConfig sim_cfg;
-    sim_cfg.channel = make_channel_params(q);
-    sim_cfg.nic = q.nic;
-    sim_cfg.seed = seed;
-
-    const BitVec payload = random_bits(q.payload_bits, seed ^ 0x5151u);
-    BitVec frame = barker13();
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    const TimeUs frame_start = kLeadUs;
-    const TimeUs until = frame_start +
-                         bit_us * static_cast<std::int64_t>(frame.size()) +
-                         kTailUs;
-    sim::RngStream rng(seed);
-    auto traffic_rng = rng.fork("traffic");
-    const auto timeline = make_helper_timeline(q.paced_traffic, q.helper_pps,
-                                               until, traffic_rng);
-    tag::Modulator mod(frame, bit_us, frame_start);
-    UplinkSim sim(sim_cfg);
-    const auto trace = sim.run(timeline, mod);
-
-    auto ct = reader::condition(trace, q.source, q.movavg_window_us);
-    auto pick_rng = rng.fork("random-stream");
+  std::size_t failed_syncs = 0;
+  for (std::size_t run = 0; run < p.runs; ++run) {
+    const auto out = simulate_one_frame(p, run);
+    reader::condition_into(out.trace, p.source, p.movavg_window_us, ws, ct);
+    auto pick_rng = sim::RngStream(frame_seed(p, run)).fork("random-stream");
     const std::size_t pick = pick_rng.uniform_int(ct.num_streams());
-    reader::ConditionedTrace single;
     single.timestamps = ct.timestamps;
-    single.streams.push_back(std::move(ct.streams[pick]));
-
-    reader::UplinkDecoderConfig dec;
-    dec.source = q.source;
-    dec.preamble = barker13();
-    dec.payload_bits = q.payload_bits;
-    dec.bit_duration_us = bit_us;
-    dec.num_good_streams = 1;
-    dec.hysteresis_sigma = q.hysteresis_sigma;
-    dec.search_from = frame_start - 2 * bit_us;
-    dec.search_to = frame_start + 2 * bit_us;
-    reader::UplinkDecoder decoder(dec);
-    const auto result = decoder.decode_conditioned(single);
-    if (!result.found) {
-      ++m.failed_syncs;
-      ber.add_counts(payload.size(), payload.size());
-      continue;
-    }
-    ber.add(payload, result.payload);
+    single.streams[0] = ct.streams[pick];
+    decoder.decode_conditioned_into(single, ws, result);
+    if (!result.found) ++failed_syncs;
+    add_run(ber, out.sent, result);
   }
-  m.ber = ber.ber_floored();
-  m.ber_raw = ber.ber();
-  m.bits = ber.bits();
-  m.errors = ber.errors();
-  return m;
+  return to_measurement(ber, failed_syncs);
 }
 
 std::vector<double> measure_per_stream_ber(const UplinkExperimentParams& p) {
+  // One physical placement per distance: Fig 5 maps *which* sub-channels
+  // are good for a given multipath profile, so unless the caller pins a
+  // channel, it is drawn once from p.seed (only noise and traffic vary
+  // between runs).
+  UplinkExperimentParams q = p;
+  if (!q.channel_seed) q.channel_seed = p.seed;
+  // Per-stream decoding assumes frame timing is known (the paper's
+  // per-sub-channel BER maps are computed offline per placement).
+  reader::UplinkDecoderConfig dec = experiment_decoder_config(q);
+  dec.num_good_streams = 1;
+  dec.search_from = kLeadUs;
+  dec.search_to = kLeadUs;
+  const reader::UplinkDecoder decoder(dec);
+  reader::DecodeWorkspace ws;
+  reader::ConditionedTrace ct;
+  reader::ConditionedTrace single;
+  single.streams.resize(1);
+  reader::UplinkDecodeResult result;
   std::vector<BerCounter> counters(wifi::kNumCsiStreams);
-  for (std::size_t run = 0; run < p.runs; ++run) {
-    const TimeUs bit_us = p.bit_duration_us();
-    const std::uint64_t seed =
-        p.seed * 0x9e3779b97f4a7c15ull + run * 0xc2b2ae3d27d4eb4full + 1;
-    UplinkSimConfig sim_cfg;
-    sim_cfg.channel = make_channel_params(p);
-    sim_cfg.nic = p.nic;
-    sim_cfg.seed = seed;
-    // One physical placement per distance: Fig 5 maps *which* sub-channels
-    // are good for a given multipath profile, so the channel must not be
-    // redrawn between runs (only noise and traffic vary).
-    sim_cfg.channel_seed = p.seed;
-    const BitVec payload = random_bits(p.payload_bits, seed ^ 0x5151u);
-    BitVec frame = barker13();
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    const TimeUs frame_start = kLeadUs;
-    const TimeUs until = frame_start +
-                         bit_us * static_cast<std::int64_t>(frame.size()) +
-                         kTailUs;
-    sim::RngStream rng(seed);
-    auto traffic_rng = rng.fork("traffic");
-    const auto timeline = make_helper_timeline(p.paced_traffic, p.helper_pps,
-                                               until, traffic_rng);
-    tag::Modulator mod(frame, bit_us, frame_start);
-    UplinkSim sim(sim_cfg);
-    const auto trace = sim.run(timeline, mod);
-    const auto ct = reader::condition(trace, reader::MeasurementSource::kCsi,
-                                      p.movavg_window_us);
-
+  for (std::size_t run = 0; run < q.runs; ++run) {
+    const auto out = simulate_one_frame(q, run);
+    reader::condition_into(out.trace, reader::MeasurementSource::kCsi,
+                           q.movavg_window_us, ws, ct);
+    single.timestamps = ct.timestamps;
     for (std::size_t s = 0; s < ct.num_streams(); ++s) {
-      reader::ConditionedTrace single;
-      single.timestamps = ct.timestamps;
-      single.streams.push_back(ct.streams[s]);
-      reader::UplinkDecoderConfig dec;
-      dec.preamble = barker13();
-      dec.payload_bits = p.payload_bits;
-      dec.bit_duration_us = bit_us;
-      dec.num_good_streams = 1;
-      dec.hysteresis_sigma = p.hysteresis_sigma;
-      // Per-stream decoding assumes frame timing is known (the paper's
-      // per-sub-channel BER maps are computed offline per placement).
-      dec.search_from = frame_start;
-      dec.search_to = frame_start;
-      reader::UplinkDecoder decoder(dec);
-      const auto result = decoder.decode_conditioned(single);
-      if (!result.found) {
-        counters[s].add_counts(payload.size(), payload.size());
-      } else {
-        counters[s].add(payload, result.payload);
-      }
+      single.streams[0] = ct.streams[s];
+      decoder.decode_conditioned_into(single, ws, result);
+      add_run(counters[s], out.sent, result);
     }
   }
   std::vector<double> bers(counters.size());
@@ -304,7 +263,7 @@ double achievable_bit_rate(UplinkExperimentParams p, double target_ber) {
 
 BerMeasurement measure_coded_uplink_ber(const CodedExperimentParams& p) {
   BerCounter ber;
-  BerMeasurement m;
+  std::size_t failed_syncs = 0;
   // Codes, chip duration and the decoder are run-invariant; the runs only
   // redraw payloads, noise and traffic. Hoisting them (with a workspace)
   // makes the loop allocation-light, same as measure_uplink_ber.
@@ -353,18 +312,10 @@ BerMeasurement measure_coded_uplink_ber(const CodedExperimentParams& p) {
     const auto trace = sim.run(timeline, mod);
 
     decoder.decode_into(trace, ws, result);
-    if (!result.found) {
-      ber.add_counts(payload.size(), payload.size());
-      ++m.failed_syncs;
-    } else {
-      ber.add(payload, result.payload);
-    }
+    if (!result.found) ++failed_syncs;
+    add_run(ber, payload, result);
   }
-  m.ber = ber.ber_floored();
-  m.ber_raw = ber.ber();
-  m.bits = ber.bits();
-  m.errors = ber.errors();
-  return m;
+  return to_measurement(ber, failed_syncs);
 }
 
 std::size_t required_correlation_length(
@@ -411,12 +362,7 @@ BerMeasurement measure_downlink_ber(const DownlinkExperimentParams& p) {
     sent += n;
     ++round;
   }
-  BerMeasurement m;
-  m.ber = ber.ber_floored();
-  m.ber_raw = ber.ber();
-  m.bits = ber.bits();
-  m.errors = ber.errors();
-  return m;
+  return to_measurement(ber, 0);
 }
 
 std::vector<UplinkGridPoint> expand_uplink_grid(const UplinkGridSpec& spec) {

@@ -1,11 +1,13 @@
 #include "reader/ack_detector.h"
 
 #include <algorithm>
-#include <cmath>
+#include <vector>
 
 #include "obs/flight_recorder.h"
-#include "reader/uplink_decoder.h"
+#include "reader/decode_workspace.h"
+#include "reader/slot_sync.h"
 #include "util/check.h"
+#include "util/codes.h"
 
 namespace wb::reader {
 
@@ -30,30 +32,26 @@ AckDetection detect_ack(const ConditionedTrace& ct, const AckConfig& cfg,
     return out;
   }
 
+  // The best single stream (g = 1) at each offset of the search region,
+  // on the decoders' correlate-and-rank kernel; a window scores once at
+  // least half its chip slots hold a packet.
   const std::size_t nchips = cfg.pattern.size();
+  const std::vector<double> tmpl = to_bipolar(cfg.pattern);
   const TimeUs step =
       std::max(cfg.chip_duration_us / 4, TimeUs{1});
-
+  DecodeWorkspace ws;
   bool any_scored = false;
   for (TimeUs tau = expected_start_us - cfg.jitter_us;
-       tau <= expected_start_us + cfg.jitter_us; tau += step) {
-    for (std::size_t s = 0; s < ct.num_streams(); ++s) {
-      const auto slots = UplinkDecoder::bin_slots(
-          ct, s, tau, cfg.chip_duration_us, nchips);
-      double corr = 0.0;
-      std::size_t filled = 0;
-      for (std::size_t c = 0; c < nchips; ++c) {
-        if (slots[c].count == 0) continue;
-        ++filled;
-        corr += slots[c].mean * (cfg.pattern[c] ? 1.0 : -1.0);
-      }
-      if (filled < nchips / 2 || filled == 0) continue;
-      any_scored = true;
-      const double score = std::abs(corr) / static_cast<double>(filled);
-      if (score > out.score) {
-        out.score = score;
-        out.at_us = tau;
-      }
+       ct.num_streams() > 0 && tau <= expected_start_us + cfg.jitter_us;
+       tau += step) {
+    const double score =
+        correlate_and_rank(ct, tmpl, tau, cfg.chip_duration_us,
+                           static_cast<double>(nchips / 2), 1, ws);
+    if (ws.bin_filled < nchips / 2 || ws.bin_filled == 0) continue;
+    any_scored = true;
+    if (score > out.score) {
+      out.score = score;
+      out.at_us = tau;
     }
   }
   out.detected = out.score >= cfg.threshold;

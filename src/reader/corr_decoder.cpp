@@ -11,7 +11,7 @@
 #include "wifi/trace_io.h"
 
 #include "reader/decode_workspace.h"
-#include "reader/uplink_decoder.h"
+#include "reader/slot_sync.h"
 #include "util/simd.h"
 
 namespace wb::reader {
@@ -53,36 +53,6 @@ CodedUplinkDecoder::CodedUplinkDecoder(CodedDecoderConfig cfg)
   }
 }
 
-double CodedUplinkDecoder::preamble_correlation(const ConditionedTrace& ct,
-                                                std::size_t stream,
-                                                TimeUs start_us,
-                                                DecodeWorkspace& ws) const {
-  WB_REQUIRE(stream < ct.num_streams());
-  const std::size_t nchips = preamble_chips_bipolar_.size();
-  UplinkDecoder::bin_slots_into(ct, stream, start_us, cfg_.chip_duration_us,
-                                nchips, ws.slots);
-  std::size_t filled = 0;
-  double corr = 0.0;
-  for (std::size_t i = 0; i < nchips; ++i) {
-    if (ws.slots[i].count == 0) continue;
-    ++filled;
-    corr += ws.slots[i].mean * preamble_chips_bipolar_[i];
-  }
-  if (static_cast<double>(filled) <
-          cfg_.min_fill * static_cast<double>(nchips) ||
-      filled == 0) {
-    return 0.0;
-  }
-  return corr / static_cast<double>(filled);
-}
-
-double CodedUplinkDecoder::preamble_correlation(const ConditionedTrace& ct,
-                                                std::size_t stream,
-                                                TimeUs start_us) const {
-  DecodeWorkspace ws;
-  return preamble_correlation(ct, stream, start_us, ws);
-}
-
 CodedDecodeResult CodedUplinkDecoder::decode(
     const wifi::CaptureTrace& trace) const {
   DecodeWorkspace ws;
@@ -105,15 +75,6 @@ void CodedUplinkDecoder::decode_into(const wifi::CaptureTrace& trace,
       fx->add_exemplar(obs::DropStage::kCorrDecoder, *out.drop_reason,  // wb-analyze: allow(realtime-alloc): exemplar serialization is wants_exemplar-gated to the first exemplar_cap drops per (stage, reason) — cold by construction
                        wifi::capture_csv_string(trace));
     }
-  }
-}
-
-void CodedUplinkDecoder::decode_batch_into(
-    std::span<const wifi::CaptureTrace> traces, DecodeWorkspace& ws,
-    std::vector<CodedDecodeResult>& out) const {
-  out.resize(traces.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    decode_into(traces[i], ws, out[i]);
   }
 }
 
@@ -208,47 +169,16 @@ void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
 
   const std::size_t g = std::min(cfg_.num_good_streams, ct->num_streams());
 
-  // --- Frame sync ---
+  // --- Frame sync: the shared correlate-and-rank kernel (slot_sync.h)
+  // against the coded preamble ---
+  const double need =
+      cfg_.min_fill * static_cast<double>(preamble_chips_bipolar_.size());
+  const auto evaluate = [&](TimeUs tau) {
+    return correlate_and_rank(*ct, preamble_chips_bipolar_, tau,
+                              cfg_.chip_duration_us, need, g, ws);
+  };
   TimeUs best_start{0};
   double best_score = -1.0;
-  auto& corrs = ws.corrs;
-  auto& order = ws.order;
-  corrs.resize(ct->num_streams());
-  order.resize(ct->num_streams());
-
-  // One shared slot map per candidate start, per-stream contiguous sum
-  // passes after it — bit-identical to preamble_correlation per stream
-  // (same accumulation order, same sum/count division, shared fill gate).
-  const std::size_t nchips = preamble_chips_bipolar_.size();
-  auto evaluate = [&](TimeUs tau) {
-    UplinkDecoder::bin_window_into(*ct, tau, cfg_.chip_duration_us, nchips,
-                                   ws);
-    const double need = cfg_.min_fill * static_cast<double>(nchips);
-    const bool enough =
-        static_cast<double>(ws.bin_filled) >= need && ws.bin_filled > 0;
-    for (std::size_t s = 0; s < ct->num_streams(); ++s) {
-      if (!enough) {
-        corrs[s] = 0.0;
-        continue;
-      }
-      UplinkDecoder::bin_stream_sums_into(*ct, s, ws);
-      double corr = 0.0;
-      for (std::size_t i = 0; i < nchips; ++i) {
-        if (ws.bin_count[i] == 0) continue;
-        corr += (ws.bin_sums[i] / static_cast<double>(ws.bin_count[i])) *
-                preamble_chips_bipolar_[i];
-      }
-      corrs[s] = corr / static_cast<double>(ws.bin_filled);
-    }
-    for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
-    std::partial_sort(order.begin(), order.begin() + static_cast<long>(g),
-                      order.end(), [&corrs](std::size_t a, std::size_t b) {
-                        return std::abs(corrs[a]) > std::abs(corrs[b]);
-                      });
-    double score = 0.0;
-    for (std::size_t i = 0; i < g; ++i) score += std::abs(corrs[order[i]]);
-    return score / static_cast<double>(g);
-  };
 
   if (cfg_.known_start) {
     best_start = *cfg_.known_start;
@@ -271,7 +201,7 @@ void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
         best_start = tau;
       }
     }
-    // Re-evaluate at the winner so corrs/order describe it.
+    // Re-evaluate at the winner so ws.corrs/ws.order describe it.
     best_score = evaluate(best_start);
   }
 
@@ -287,11 +217,12 @@ void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
   }
   out.start_us = best_start;
   out.sync_score = best_score;
-  out.streams.assign(order.begin(), order.begin() + static_cast<long>(g));
+  out.streams.assign(ws.order.begin(),
+                     ws.order.begin() + static_cast<long>(g));
   out.polarity.resize(g);
   out.weights.resize(g);
   for (std::size_t i = 0; i < g; ++i) {
-    const double c = corrs[out.streams[i]];
+    const double c = ws.corrs[out.streams[i]];
     out.polarity[i] = c >= 0.0 ? 1.0 : -1.0;
     out.weights[i] = std::abs(c);
   }
@@ -301,18 +232,16 @@ void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
   out.payload.assign(cfg_.payload_bits, 0);
   out.margin.assign(cfg_.payload_bits, 0.0);
   // One shared slot map per chip block, reused by every selected stream
-  // (the map depends only on the timestamps) — bit-identical to the
-  // per-(bit, stream) bin_slots_into it replaces.
+  // (the map depends only on the timestamps).
   for (std::size_t b = 0; b < cfg_.payload_bits; ++b) {
     const TimeUs block_start =
         best_start +
         cfg_.chip_duration_us *
             static_cast<std::int64_t>((cfg_.preamble.size() + b) * l);
-    UplinkDecoder::bin_window_into(*ct, block_start, cfg_.chip_duration_us,
-                                   l, ws);
+    bin_window_into(*ct, block_start, cfg_.chip_duration_us, l, ws);
     double combined = 0.0;
     for (std::size_t i = 0; i < out.streams.size(); ++i) {
-      UplinkDecoder::bin_stream_sums_into(*ct, out.streams[i], ws);
+      bin_stream_sums_into(*ct, out.streams[i], ws);
       double diff = 0.0;  // corr(one) - corr(zero)
       for (std::size_t c = 0; c < l; ++c) {
         if (ws.bin_count[c] == 0) continue;

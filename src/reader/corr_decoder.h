@@ -14,7 +14,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "obs/forensics.h"
@@ -109,23 +108,6 @@ class CodedUplinkDecoder {
   WB_REALTIME void decode_conditioned_into(const ConditionedTrace& ct,
                                            DecodeWorkspace& ws,
                                            CodedDecodeResult& out) const;
-
-  /// Batch decode (DESIGN.md §15): every trace through one workspace;
-  /// `out` is resized to traces.size() and its entries reused, so a
-  /// warmed-up batch is allocation-free. Bit-identical to calling
-  /// decode_into per trace.
-  WB_REALTIME void decode_batch_into(std::span<const wifi::CaptureTrace> traces,
-                                     DecodeWorkspace& ws,
-                                     std::vector<CodedDecodeResult>& out) const;
-
-  /// Per-chip-normalised correlation of a stream against the *coded
-  /// preamble* at a candidate start (signed; 0 when under-filled).
-  double preamble_correlation(const ConditionedTrace& ct, std::size_t stream,
-                              TimeUs start_us) const;
-
-  /// Workspace variant (slot binning scratch in `ws.slots`).
-  double preamble_correlation(const ConditionedTrace& ct, std::size_t stream,
-                              TimeUs start_us, DecodeWorkspace& ws) const;
 
   const CodedDecoderConfig& config() const { return cfg_; }
 

@@ -28,13 +28,6 @@
 
 namespace wb::reader {
 
-/// Mean/count of the packets binned into one bit or chip slot (shared by
-/// the plain and coded decoders; see UplinkDecoder::bin_slots).
-struct SlotStat {
-  double mean = 0.0;
-  std::size_t count = 0;
-};
-
 struct DecodeWorkspace {
   // -- conditioning (condition_into, DESIGN.md §15) --
   // Row-major [packet][lane] matrices: one row per usable record, one lane
@@ -45,13 +38,12 @@ struct DecodeWorkspace {
   std::vector<double> row_sums;       ///< per-lane window-sum scratch
   std::vector<double> row_mads;       ///< per-lane MAD divisors
 
-  // -- frame sync (find_frame / preamble correlation) --
-  std::vector<SlotStat> slots;           ///< bin_slots_into scratch
+  // -- frame sync (correlate_and_rank, slot_sync.h) --
   std::vector<double> corrs;             ///< per-stream preamble correlation
 
-  // Stream-batched slot binning (UplinkDecoder::bin_window_into): the
-  // timestamp→slot map and per-slot packet counts are shared by every
-  // stream of a window, so they are computed once per candidate start.
+  // Stream-batched slot binning (bin_window_into): the timestamp→slot map
+  // and per-slot packet counts are shared by every stream of a window, so
+  // they are computed once per candidate start.
   std::vector<std::uint32_t> bin_slot_of;  ///< slot of each window packet
   std::vector<std::uint32_t> bin_count;    ///< packets binned per slot
   std::vector<double> bin_sums;            ///< per-slot sums of one stream

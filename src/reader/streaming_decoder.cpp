@@ -21,18 +21,6 @@ UplinkDecoderConfig make_decoder_config(const StreamingDecoderConfig& cfg) {
   return dec_cfg;
 }
 
-/// Adapter backing the vector-returning push()/flush() overloads.
-class VectorSink final : public FrameSink {
- public:
-  explicit VectorSink(std::vector<UplinkDecodeResult>& out) : out_(out) {}
-  void on_frame(const UplinkDecodeResult& frame) override {
-    out_.push_back(frame);  // wb-analyze: allow(realtime-alloc): adapter for the allocating vector-returning overloads only; the serving path (push(rec, sink)) reaches Session::on_frame, which copies into preallocated slots
-  }
-
- private:
-  std::vector<UplinkDecodeResult>& out_;
-};
-
 }  // namespace
 
 StreamingUplinkDecoder::StreamingUplinkDecoder(StreamingDecoderConfig cfg)
@@ -82,8 +70,8 @@ void StreamingUplinkDecoder::trim_history() {
   }
 }
 
-std::size_t StreamingUplinkDecoder::push_impl(const wifi::CaptureRecord& rec,
-                                              FrameSink& sink) {
+std::size_t StreamingUplinkDecoder::push(const wifi::CaptureRecord& rec,
+                                         FrameSink& sink) {
   WB_REQUIRE(buffer_.empty() ||
                  rec.timestamp_us >= buffer_.back().timestamp_us,
              "capture records must arrive in time order");
@@ -118,20 +106,7 @@ std::size_t StreamingUplinkDecoder::push_impl(const wifi::CaptureRecord& rec,
   return emitted;
 }
 
-std::size_t StreamingUplinkDecoder::push(const wifi::CaptureRecord& rec,
-                                         FrameSink& sink) {
-  return push_impl(rec, sink);
-}
-
-std::vector<UplinkDecodeResult> StreamingUplinkDecoder::push(
-    const wifi::CaptureRecord& rec) {
-  std::vector<UplinkDecodeResult> out;
-  VectorSink sink(out);
-  push_impl(rec, sink);
-  return out;
-}
-
-std::size_t StreamingUplinkDecoder::flush_impl(FrameSink& sink) {
+std::size_t StreamingUplinkDecoder::flush(FrameSink& sink) {
   if (buffer_.empty()) return 0;
   const TimeUs frame_dur = cfg_.decoder.frame_duration_us();
   // The latest start whose frame is fully contained in the buffer; a frame
@@ -165,17 +140,6 @@ std::size_t StreamingUplinkDecoder::flush_impl(FrameSink& sink) {
   }
   trim_history();
   return emitted;
-}
-
-std::size_t StreamingUplinkDecoder::flush(FrameSink& sink) {
-  return flush_impl(sink);
-}
-
-std::vector<UplinkDecodeResult> StreamingUplinkDecoder::flush() {
-  std::vector<UplinkDecodeResult> out;
-  VectorSink sink(out);
-  flush_impl(sink);
-  return out;
 }
 
 }  // namespace wb::reader

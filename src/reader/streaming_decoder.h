@@ -55,16 +55,12 @@ class StreamingUplinkDecoder {
  public:
   explicit StreamingUplinkDecoder(StreamingDecoderConfig cfg);
 
-  /// Feed one capture record (timestamps must be non-decreasing); returns
-  /// the frames completed by this record (usually none, occasionally one).
-  /// Scans reuse one decoder instance and one DecodeWorkspace, so the
-  /// steady-state scan path does not allocate (DESIGN.md §10).
-  std::vector<UplinkDecodeResult> push(const wifi::CaptureRecord& rec);
-
-  /// Allocation-free variant: frames go to `sink.on_frame()` instead of a
-  /// returned vector; returns how many frames were emitted. This is the
-  /// serving-path API (wb::serve sessions implement FrameSink and copy
-  /// payloads into preallocated slots).
+  /// Feed one capture record (timestamps must be non-decreasing); frames
+  /// completed by this record (usually none, occasionally one) go to
+  /// `sink.on_frame()`. Returns how many frames were emitted. Scans reuse
+  /// one decoder instance and one DecodeWorkspace, so the steady-state
+  /// scan path does not allocate (DESIGN.md §10); wb::serve sessions
+  /// implement FrameSink and copy payloads into preallocated slots.
   WB_REALTIME std::size_t push(const wifi::CaptureRecord& rec,
                                FrameSink& sink);
 
@@ -72,10 +68,8 @@ class StreamingUplinkDecoder {
   /// scans when a *later* record arrives, so when traffic stops, any frame
   /// that ended within a scan interval of the last record would otherwise
   /// be stranded forever. Call when the capture ends (or goes quiet) to
-  /// drain those frames; idempotent — a second flush() emits nothing new.
-  std::vector<UplinkDecodeResult> flush();
-
-  /// Sink variant of flush(); returns how many frames were emitted.
+  /// drain those frames into `sink`; returns how many were emitted.
+  /// Idempotent — a second flush() emits nothing new.
   std::size_t flush(FrameSink& sink);
 
   /// Return to the freshly constructed state while keeping the buffer's
@@ -98,9 +92,6 @@ class StreamingUplinkDecoder {
   /// One decode over [consumed_until_, search_to]; on success emits into
   /// `sink` and advances consumed_until_ past the frame.
   bool scan(TimeUs search_to_us, FrameSink& sink);
-
-  std::size_t push_impl(const wifi::CaptureRecord& rec, FrameSink& sink);
-  std::size_t flush_impl(FrameSink& sink);
 
   /// Drop records no future frame needs (history window behind the
   /// consumed point).

@@ -8,24 +8,16 @@
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
+#include "reader/slot_sync.h"
 #include "util/check.h"
-#include "wifi/trace_io.h"
-
 #include "util/dsp.h"
 #include "util/simd.h"
+#include "wifi/trace_io.h"
 
 namespace wb::reader {
-namespace {
 
-/// First packet index with timestamp >= t.
-std::size_t lower_index(const std::vector<TimeUs>& ts, TimeUs t) {
-  return static_cast<std::size_t>(
-      std::distance(ts.begin(), std::lower_bound(ts.begin(), ts.end(), t)));
-}
-
-}  // namespace
-
-UplinkDecoder::UplinkDecoder(UplinkDecoderConfig cfg) : cfg_(std::move(cfg)) {
+UplinkDecoder::UplinkDecoder(UplinkDecoderConfig cfg)
+    : cfg_(std::move(cfg)), preamble_bipolar_(to_bipolar(cfg_.preamble)) {
   WB_REQUIRE(!cfg_.preamble.empty());
   WB_REQUIRE(cfg_.bit_duration_us > TimeUs{});
   WB_REQUIRE(cfg_.num_good_streams > 0);
@@ -37,109 +29,6 @@ UplinkDecoder::UplinkDecoder(UplinkDecoderConfig cfg) : cfg_(std::move(cfg)) {
              "search window must satisfy search_to >= search_from — an "
              "inverted window used to be silently collapsed to a single "
              "probe offset");
-}
-
-void UplinkDecoder::bin_slots_into(const ConditionedTrace& ct,
-                                   std::size_t stream, TimeUs start_us,
-                                   TimeUs slot_us, std::size_t nslots,
-                                   std::vector<SlotStat>& out) {
-  WB_REQUIRE(stream < ct.num_streams(), "stream index out of range");
-  WB_REQUIRE(slot_us > TimeUs{}, "slot duration must be positive");
-  WB_REQUIRE(ct.streams[stream].size() == ct.timestamps.size(),
-             "conditioned stream must cover every packet");
-  out.assign(nslots, SlotStat{});
-  const auto& ts = ct.timestamps;
-  const auto& xs = ct.streams[stream];
-  std::size_t k = lower_index(ts, start_us);
-  const TimeUs end =
-      start_us + slot_us * static_cast<std::int64_t>(nslots);
-  for (; k < ts.size() && ts[k] < end; ++k) {
-    const auto slot = static_cast<std::size_t>((ts[k] - start_us) / slot_us);
-    out[slot].mean += xs[k];
-    ++out[slot].count;
-  }
-  for (auto& s : out) {
-    if (s.count > 0) s.mean /= static_cast<double>(s.count);
-  }
-}
-
-void UplinkDecoder::bin_window_into(const ConditionedTrace& ct,
-                                    TimeUs start_us, TimeUs slot_us,
-                                    std::size_t nslots, DecodeWorkspace& ws) {
-  WB_REQUIRE(slot_us > TimeUs{}, "slot duration must be positive");
-  const auto& ts = ct.timestamps;
-  std::size_t k = lower_index(ts, start_us);
-  ws.bin_first = k;
-  ws.bin_nslots = nslots;
-  ws.bin_count.assign(nslots, 0);
-  const TimeUs end = start_us + slot_us * static_cast<std::int64_t>(nslots);
-  const std::size_t k_end = lower_index(ts, end);
-  ws.bin_slot_of.resize(k_end - k);
-  for (std::size_t j = 0; k < k_end; ++k, ++j) {
-    const auto slot =
-        static_cast<std::uint32_t>((ts[k] - start_us) / slot_us);
-    ws.bin_slot_of[j] = slot;
-    ++ws.bin_count[slot];
-  }
-  ws.bin_filled = 0;
-  for (const std::uint32_t c : ws.bin_count) {
-    if (c > 0) ++ws.bin_filled;
-  }
-}
-
-void UplinkDecoder::bin_stream_sums_into(const ConditionedTrace& ct,
-                                         std::size_t stream,
-                                         DecodeWorkspace& ws) {
-  WB_REQUIRE(stream < ct.num_streams(), "stream index out of range");
-  WB_REQUIRE(ct.streams[stream].size() == ct.timestamps.size(),
-             "conditioned stream must cover every packet");
-  const auto& xs = ct.streams[stream];
-  ws.bin_sums.assign(ws.bin_nslots, 0.0);
-  const std::size_t k0 = ws.bin_first;
-  for (std::size_t j = 0; j < ws.bin_slot_of.size(); ++j) {
-    ws.bin_sums[ws.bin_slot_of[j]] += xs[k0 + j];
-  }
-}
-
-std::vector<UplinkDecoder::SlotStat> UplinkDecoder::bin_slots(
-    const ConditionedTrace& ct, std::size_t stream, TimeUs start_us,
-    TimeUs slot_us, std::size_t nslots) {
-  std::vector<SlotStat> out;
-  bin_slots_into(ct, stream, start_us, slot_us, nslots, out);
-  return out;
-}
-
-double UplinkDecoder::preamble_correlation(const ConditionedTrace& ct,
-                                           std::size_t stream,
-                                           TimeUs start_us,
-                                           DecodeWorkspace& ws) const {
-  bin_slots_into(ct, stream, start_us, cfg_.bit_duration_us,
-                 cfg_.preamble.size(), ws.slots);
-  std::size_t filled = 0;
-  double corr = 0.0;
-  for (std::size_t i = 0; i < ws.slots.size(); ++i) {
-    if (ws.slots[i].count == 0) continue;
-    ++filled;
-    corr += ws.slots[i].mean * (cfg_.preamble[i] ? 1.0 : -1.0);
-  }
-  const double need =
-      cfg_.min_preamble_fill * static_cast<double>(ws.slots.size());
-  if (static_cast<double>(filled) < need || filled == 0) return 0.0;
-  return corr / static_cast<double>(filled);
-}
-
-double UplinkDecoder::preamble_correlation(const ConditionedTrace& ct,
-                                           std::size_t stream,
-                                           TimeUs start_us) const {
-  DecodeWorkspace ws;
-  return preamble_correlation(ct, stream, start_us, ws);
-}
-
-bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
-                               DecodeWorkspace& ws, TimeUs& start_us,
-                               double& score) const {
-  obs::DropReason failure{};
-  return find_frame(ct, ws, start_us, score, failure);
 }
 
 bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
@@ -167,48 +56,15 @@ bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
 
   const std::size_t g =
       std::min(cfg_.num_good_streams, ct.num_streams());
-  const std::size_t nslots = cfg_.preamble.size();
+  const double need = cfg_.min_preamble_fill *
+                      static_cast<double>(preamble_bipolar_.size());
 
   bool has_best = false;
   TimeUs best_start{0};
   double best_score = 0.0;
-  auto& corrs = ws.corrs;
-  auto& order = ws.order;
-  corrs.resize(ct.num_streams());
-  order.resize(ct.num_streams());
   for (TimeUs tau = from; tau <= to; tau += std::max(step, TimeUs{1})) {
-    // One shared slot map per candidate start, then a contiguous
-    // sum-accumulation pass per stream: bit-identical to running
-    // preamble_correlation per stream (same accumulation order, same
-    // sum/count division, shared fill gate), minus the per-stream
-    // timestamp walks.
-    bin_window_into(ct, tau, cfg_.bit_duration_us, nslots, ws);
-    const double need =
-        cfg_.min_preamble_fill * static_cast<double>(nslots);
-    const bool enough = static_cast<double>(ws.bin_filled) >= need &&
-                        ws.bin_filled > 0;
-    for (std::size_t s = 0; s < ct.num_streams(); ++s) {
-      if (!enough) {
-        corrs[s] = 0.0;
-        continue;
-      }
-      bin_stream_sums_into(ct, s, ws);
-      double corr = 0.0;
-      for (std::size_t i = 0; i < nslots; ++i) {
-        if (ws.bin_count[i] == 0) continue;
-        corr += (ws.bin_sums[i] / static_cast<double>(ws.bin_count[i])) *
-                (cfg_.preamble[i] ? 1.0 : -1.0);
-      }
-      corrs[s] = corr / static_cast<double>(ws.bin_filled);
-    }
-    for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
-    std::partial_sort(order.begin(), order.begin() + static_cast<long>(g),
-                      order.end(), [&corrs](std::size_t a, std::size_t b) {
-                        return std::abs(corrs[a]) > std::abs(corrs[b]);
-                      });
-    double tau_score = 0.0;
-    for (std::size_t i = 0; i < g; ++i) tau_score += std::abs(corrs[order[i]]);
-    tau_score /= static_cast<double>(g);
+    const double tau_score = correlate_and_rank(
+        ct, preamble_bipolar_, tau, cfg_.bit_duration_us, need, g, ws);
     // First-max-wins: the strict `>` keeps the *earliest* tau among equal
     // peaks. Load-bearing and pinned by tests — a reassociated reduction
     // or a `>=` here would silently shift which frame start wins.
@@ -216,11 +72,11 @@ bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
       has_best = true;
       best_start = tau;
       best_score = tau_score;
-      ws.best_streams.assign(order.begin(),
-                             order.begin() + static_cast<long>(g));
+      ws.best_streams.assign(ws.order.begin(),
+                             ws.order.begin() + static_cast<long>(g));
       ws.best_polarity.resize(g);
       for (std::size_t i = 0; i < g; ++i) {
-        ws.best_polarity[i] = corrs[order[i]] >= 0.0 ? 1.0 : -1.0;
+        ws.best_polarity[i] = ws.corrs[ws.order[i]] >= 0.0 ? 1.0 : -1.0;
       }
     }
   }
@@ -235,20 +91,6 @@ bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
   start_us = best_start;
   score = best_score;
   return true;
-}
-
-std::optional<UplinkDecoder::SyncResult> UplinkDecoder::find_frame(
-    const ConditionedTrace& ct) const {
-  DecodeWorkspace ws;
-  TimeUs start{0};
-  double score = 0.0;
-  if (!find_frame(ct, ws, start, score)) return std::nullopt;
-  SyncResult r;
-  r.start = start;
-  r.score = score;
-  r.streams = std::move(ws.best_streams);
-  r.polarity = std::move(ws.best_polarity);
-  return r;
 }
 
 double UplinkDecoder::preamble_noise_variance(const ConditionedTrace& ct,
@@ -267,8 +109,7 @@ double UplinkDecoder::preamble_noise_variance(const ConditionedTrace& ct,
        k < ts.size() && ts[k] < end; ++k) {
     const auto bit = static_cast<std::size_t>((ts[k] - start_us) /
                                               cfg_.bit_duration_us);
-    const double expected = cfg_.preamble[bit] ? 1.0 : -1.0;
-    const double r = polarity * xs[k] - expected;
+    const double r = polarity * xs[k] - preamble_bipolar_[bit];
     sum += r;
     sum2 += r * r;
     ++n;
@@ -311,15 +152,6 @@ void UplinkDecoder::decode_into(const wifi::CaptureTrace& trace,
       fx->add_exemplar(obs::DropStage::kUplinkDecoder, *out.drop_reason,  // wb-analyze: allow(realtime-alloc): exemplar serialization is wants_exemplar-gated to the first exemplar_cap drops per (stage, reason) — cold by construction
                        wifi::capture_csv_string(trace));
     }
-  }
-}
-
-void UplinkDecoder::decode_batch_into(
-    std::span<const wifi::CaptureTrace> traces, DecodeWorkspace& ws,
-    std::vector<UplinkDecodeResult>& out) const {
-  out.resize(traces.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    decode_into(traces[i], ws, out[i]);
   }
 }
 

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "obs/forensics.h"
@@ -133,15 +132,6 @@ class UplinkDecoder {
                                            DecodeWorkspace& ws,
                                            UplinkDecodeResult& out) const;
 
-  /// Batch decode (DESIGN.md §15): run every trace through this decoder,
-  /// reusing one workspace across the whole span; `out` is resized to
-  /// traces.size() with each entry reused like the single-trace overload,
-  /// so a warmed-up batch is allocation-free. Bit-identical to calling
-  /// decode_into per trace.
-  WB_REALTIME void decode_batch_into(std::span<const wifi::CaptureTrace> traces,
-                                     DecodeWorkspace& ws,
-                                     std::vector<UplinkDecodeResult>& out) const;
-
   /// Replace the frame-start search window (used by the streaming wrapper,
   /// which slides the window forward between scans on one decoder
   /// instance). nullopt = search the whole trace; a window with both ends
@@ -154,68 +144,14 @@ class UplinkDecoder {
     cfg_.search_to = to_us;
   }
 
-  // ---- exposed internals (tested and reused by the ablation benches) ----
-
-  /// Mean of stream `s` within [start + i*T, start + (i+1)*T) for each of
-  /// `nslots` slots. count==0 slots report mean 0.
-  using SlotStat = reader::SlotStat;
-  static std::vector<SlotStat> bin_slots(const ConditionedTrace& ct,
-                                         std::size_t stream, TimeUs start_us,
-                                         TimeUs slot_us, std::size_t nslots);
-
-  /// bin_slots writing into a caller-owned buffer (resized to `nslots`,
-  /// capacity reused across calls).
-  static void bin_slots_into(const ConditionedTrace& ct, std::size_t stream,
-                             TimeUs start_us, TimeUs slot_us,
-                             std::size_t nslots, std::vector<SlotStat>& out);
-
-  // Stream-batched binning (DESIGN.md §15). The timestamp→slot map and the
-  // per-slot packet counts depend only on the shared timestamps, so
-  // bin_window_into computes them once per candidate window (into
-  // ws.bin_slot_of / ws.bin_count / ws.bin_first / ws.bin_nslots /
-  // ws.bin_filled); bin_stream_sums_into then accumulates one stream's
-  // per-slot sums (ws.bin_sums) with a single contiguous pass. Per slot,
-  // sum/count reproduces bin_slots_into's mean bit-for-bit (same packet
-  // accumulation order, same single division).
-
-  /// Prepare the shared slot map for [start, start + nslots*slot_us).
-  static void bin_window_into(const ConditionedTrace& ct, TimeUs start_us,
-                              TimeUs slot_us, std::size_t nslots,
-                              DecodeWorkspace& ws);
-
-  /// Per-slot sums of `stream` over the window prepared by the last
-  /// bin_window_into on `ws`.
-  static void bin_stream_sums_into(const ConditionedTrace& ct,
-                                   std::size_t stream, DecodeWorkspace& ws);
-
-  /// Signed per-bit-normalised preamble correlation of one stream at a
-  /// candidate frame start; 0 if too few preamble slots are filled.
-  double preamble_correlation(const ConditionedTrace& ct, std::size_t stream,
-                              TimeUs start_us) const;
-
-  /// Workspace variant (slot binning scratch in `ws.slots`).
-  double preamble_correlation(const ConditionedTrace& ct, std::size_t stream,
-                              TimeUs start_us, DecodeWorkspace& ws) const;
-
-  struct SyncResult {
-    TimeUs start{0};
-    double score = 0.0;
-    std::vector<std::size_t> streams;  ///< ranked by |corr|, size <= G
-    std::vector<double> polarity;      ///< sign of corr per stream
-  };
-  /// Search the configured window for the frame start.
-  std::optional<SyncResult> find_frame(const ConditionedTrace& ct) const;
-
-  /// Workspace variant: returns true when a frame start cleared the sync
-  /// threshold, leaving start/score in the out-params and the selected
-  /// streams/polarities in `ws.best_streams` / `ws.best_polarity`.
-  bool find_frame(const ConditionedTrace& ct, DecodeWorkspace& ws,
-                  TimeUs& start_us, double& score) const;
-
-  /// Diagnosing variant: on failure, `failure` names the drop reason —
-  /// kEmptyTrace (no packets/streams reached sync), kNoPreamble (no
-  /// candidate window ever correlated), or kLowSnr (best correlation
-  /// positive but at/below the sync threshold).
+  /// Frame sync (§3.2 step 1): slides the preamble over the configured
+  /// window on the shared correlate-and-rank kernel (slot_sync.h). Returns
+  /// true when a frame start cleared the sync threshold, leaving
+  /// start/score in the out-params and the selected streams/polarities in
+  /// `ws.best_streams` / `ws.best_polarity`. On failure, `failure` names
+  /// the drop reason — kEmptyTrace (no packets/streams reached sync),
+  /// kNoPreamble (no candidate window ever correlated), or kLowSnr (best
+  /// correlation positive but at/below the sync threshold).
   bool find_frame(const ConditionedTrace& ct, DecodeWorkspace& ws,
                   TimeUs& start_us, double& score,
                   obs::DropReason& failure) const;
@@ -230,6 +166,7 @@ class UplinkDecoder {
 
  private:
   UplinkDecoderConfig cfg_;
+  std::vector<double> preamble_bipolar_;  ///< +-1.0 sync template
 };
 
 /// Convenience: a decoder configured per §3.3 for RSSI (3 streams, best

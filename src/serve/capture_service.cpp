@@ -1,5 +1,7 @@
 #include "serve/capture_service.h"
 
+#include <cmath>
+
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "runner/indexed_for.h"
@@ -9,6 +11,21 @@
 namespace wb::serve {
 
 namespace {
+
+/// Every measurement the decoder may read is finite: RSSI always, CSI when
+/// the record carries it.
+bool measurements_finite(const wifi::CaptureRecord& rec) {
+  for (const double v : rec.rssi_dbm) {
+    if (!std::isfinite(v)) return false;
+  }
+  if (!rec.has_csi) return true;
+  for (const auto& antenna : rec.csi) {
+    for (const double v : antenna) {
+      if (!std::isfinite(v)) return false;
+    }
+  }
+  return true;
+}
 
 SessionLimits limits_from(const ServeConfig& cfg) {
   SessionLimits limits;
@@ -81,10 +98,22 @@ Error CaptureService::submit(std::uint32_t session,
     return Error::make(ErrorCode::kWrongState,  // wb-analyze: allow(realtime-alloc): reject-path error message; the accept path below is allocation-free (0 allocs/record per BENCH_serve)
                        std::string("submit while ") + to_string(state_));
   }
-  if (sessions_.find(session) == nullptr) {
+  Session* s = sessions_.find(session);
+  if (s == nullptr) {
     return Error::make(ErrorCode::kNotFound,  // wb-analyze: allow(realtime-alloc): reject-path error message; the accept path below is allocation-free (0 allocs/record per BENCH_serve)
                        "session " + std::to_string(session) +
                            " is not attached");
+  }
+  // Malformed records are refused here, before the ring: past this point
+  // the decoder's contracts (time order, finite measurements) would abort
+  // the process instead.
+  if (!measurements_finite(rec)) {
+    return Error::make(ErrorCode::kInvalidArguments,  // wb-analyze: allow(realtime-alloc): reject-path error message; the accept path below is allocation-free (0 allocs/record per BENCH_serve)
+                       "record carries a non-finite CSI or RSSI value");
+  }
+  if (!s->admit_in_order(rec.timestamp_us)) {
+    return Error::make(ErrorCode::kInvalidArguments,  // wb-analyze: allow(realtime-alloc): reject-path error message; the accept path below is allocation-free (0 allocs/record per BENCH_serve)
+                       "record is older than the session's last record");
   }
   ++counters_.submitted;
   IngestItem item;

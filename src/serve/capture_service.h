@@ -113,7 +113,9 @@ class CaptureService {
   /// inline and retries, so submit never fails for capacity and no
   /// record is lost. Under the drop policies a full ring sheds load per
   /// policy (recorded in forensics) and submit still succeeds.
-  /// kNotFound / kWrongState for invalid targets.
+  /// kNotFound / kWrongState for invalid targets; kInvalidArguments, with
+  /// nothing admitted, for a record older than the session's last one or
+  /// carrying a non-finite CSI/RSSI value.
   WB_REALTIME Error submit(std::uint32_t session,
                            const wifi::CaptureRecord& rec);
 

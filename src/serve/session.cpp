@@ -27,6 +27,7 @@ void Session::attach(std::uint32_t id) {
   id_ = id;
   state_ = SessionState::kAttached;
   pending_count_ = 0;
+  last_submitted_.reset();
   frames_total_ = 0;
   records_dispatched_ = 0;
   decoder_.reset();  // keeps warmed buffer/workspace capacity
@@ -50,6 +51,12 @@ void Session::enqueue(const wifi::CaptureRecord& rec) {
              "ring drains");
   pending_[pending_count_] = rec;
   ++pending_count_;
+}
+
+bool Session::admit_in_order(TimeUs t_us) noexcept {
+  if (last_submitted_ && t_us < *last_submitted_) return false;
+  last_submitted_ = t_us;
+  return true;
 }
 
 std::size_t Session::dispatch_pending() {

@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,6 +108,11 @@ class Session final : public reader::FrameSink {
   /// Records staged and not yet dispatched.
   std::size_t pending() const noexcept { return pending_count_; }
 
+  /// Submit-time order check: false for a record older than the last one
+  /// admitted since attach (the streaming decoder requires time order);
+  /// otherwise remembers `t_us` as the newest and returns true.
+  bool admit_in_order(TimeUs t_us) noexcept;
+
   /// Pushes every staged record through the streaming decoder; returns
   /// frames emitted. Installs the session's own observability environment
   /// (its forensics sink; caller-thread metrics and flight recorder
@@ -153,6 +159,7 @@ class Session final : public reader::FrameSink {
 
   std::vector<wifi::CaptureRecord> pending_;  ///< preallocated staging
   std::size_t pending_count_ = 0;
+  std::optional<TimeUs> last_submitted_;  ///< newest admitted timestamp
   std::vector<DecodedFrame> frames_;  ///< preallocated ring
   std::uint64_t frames_total_ = 0;
   std::uint64_t records_dispatched_ = 0;

@@ -1,9 +1,11 @@
 #include "wifi/trace_io.h"
 
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/parse.h"
 
@@ -43,12 +45,20 @@ std::vector<std::string> split(const std::string& line) {
 }
 
 /// Strict full-cell parse; `column` is the 1-based cell index for errors.
+/// Floating-point cells must also be finite: from_chars accepts nan/inf,
+/// which no NIC reports and the decoder's contracts reject.
 template <typename T>
 T parse_cell(const std::string& cell, std::size_t line_no, std::size_t column,
              const char* what) {
   T value{};
   if (!util::parse_full(cell, value)) {
     fail_cell(line_no, column, std::string("expected ") + what, cell);
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      fail_cell(line_no, column, std::string("expected finite ") + what,
+                cell);
+    }
   }
   return value;
 }

@@ -113,15 +113,6 @@ def main() -> int:
     if listing.returncode != 0 or missing:
         failures.append(f"--list-rules: missing units rules {missing}")
 
-    # The legacy entry point must stay alive (ROADMAP pre-PR gate docs and
-    # muscle memory both call it).
-    shim = subprocess.run(
-        [sys.executable, str(REPO / "tools" / "wb_lint.py"), "--list-rules"],
-        capture_output=True, text=True)
-    cases += 1
-    if shim.returncode != 0:
-        failures.append("wb_lint.py shim: --list-rules exited non-zero")
-
     for f in failures:
         print(f"FAIL {f}")
     if failures:

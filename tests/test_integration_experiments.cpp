@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 namespace wb::core {
 namespace {
 
@@ -66,6 +68,39 @@ TEST(Experiments, PerStreamBerHasGoodAndBadStreams) {
   }
   EXPECT_GT(good, 0u);
   EXPECT_GT(bad, 0u);  // the weak antenna's streams at least
+}
+
+TEST(Experiments, RandomStreamBaselinePinned) {
+  // Exact counts at one point: the Fig 11 baseline is a one-stream decode
+  // of the shared frame simulator's trace, with the stream drawn from the
+  // frame seed's "random-stream" fork.
+  const auto m = measure_uplink_ber_random_stream(quick_params(0.40, 4));
+  EXPECT_EQ(m.bits, 160u);
+  EXPECT_EQ(m.errors, 43u);
+  EXPECT_EQ(m.failed_syncs, 0u);
+}
+
+TEST(Experiments, PerStreamBerPinned) {
+  // Exact per-stream BER at one point (Fig 5): 2 runs x 40 bits per
+  // stream, known frame start, one channel placement.
+  auto p = quick_params(0.15, 5);
+  p.runs = 2;
+  const std::size_t errors[] = {
+      42, 39, 43, 43, 30, 22, 23, 32, 20, 24, 34, 44, 42, 11, 22,
+      20, 26, 7,  17, 10, 14, 3,  0,  2,  0,  0,  0,  0,  0,  1,
+      27, 8,  0,  13, 3,  4,  10, 0,  5,  3,  0,  1,  0,  2,  3,
+      0,  1,  3,  0,  0,  0,  0,  0,  1,  7,  6,  1,  0,  0,  0,
+      0,  0,  3,  0,  3,  1,  0,  1,  0,  0,  1,  4,  0,  5,  6,
+      3,  10, 20, 2,  9,  0,  5,  0,  0,  1,  6,  1,  4,  0,  0};
+  const auto bers = measure_per_stream_ber(p);
+  ASSERT_EQ(bers.size(), std::size(errors));
+  for (std::size_t s = 0; s < bers.size(); ++s) {
+    // BerCounter::ber_floored over 80 bits.
+    const double want = errors[s] == 0
+                            ? 0.5 / 80.0
+                            : static_cast<double>(errors[s]) / 80.0;
+    EXPECT_EQ(bers[s], want) << "stream " << s;
+  }
 }
 
 TEST(Experiments, PacketDeliveryHighAtCloseRange) {

@@ -7,12 +7,19 @@
 namespace wb::wifi {
 namespace {
 
+// GoogleTest names each case by the raw bytes of its parameter, so the
+// struct must have no padding: uninitialised padding bytes would change
+// the case names from run to run.
 struct MacCase {
   std::size_t stations;
-  std::uint32_t size_bytes;
+  std::uint64_t size_bytes;
   double rate_mbps;
   std::uint64_t seed;
 };
+static_assert(sizeof(MacCase) == sizeof(std::size_t) +
+                                     2 * sizeof(std::uint64_t) +
+                                     sizeof(double),
+              "MacCase must have no padding bytes");
 
 class MacSweep : public ::testing::TestWithParam<MacCase> {};
 
@@ -22,7 +29,8 @@ TEST_P(MacSweep, ConservationInvariants) {
   std::vector<std::uint32_t> ids;
   for (std::size_t i = 0; i < c.stations; ++i) {
     ids.push_back(mac.add_station());
-    mac.make_saturated(ids.back(), c.size_bytes, c.rate_mbps);
+    mac.make_saturated(ids.back(), static_cast<std::uint32_t>(c.size_bytes),
+                       c.rate_mbps);
   }
   const TimeUs horizon = kMicrosPerSec;
   mac.run_until(horizon);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reader/slot_sync.h"
 #include "sim/rng.h"
 #include "util/check.h"
 
@@ -104,11 +105,22 @@ TEST(CodedDecoder, SyncSearchFindsFrame) {
 }
 
 TEST(CodedDecoder, PreambleCorrelationPositiveAtStart) {
+  // The coded preamble's chip template on the shared sync kernel, gated
+  // like the decoder's sync search.
   CodedSpec spec;
   spec.noise = 0.1;
   const auto syn = make_coded(spec);
-  CodedUplinkDecoder dec(config_for(spec));
-  EXPECT_GT(dec.preamble_correlation(syn.ct, 0, syn.frame_start), 0.5);
+  const auto cfg = config_for(spec);
+  BitVec chips;
+  for (std::uint8_t b : cfg.preamble) {
+    const BitVec& c = b ? cfg.codes.one : cfg.codes.zero;
+    chips.insert(chips.end(), c.begin(), c.end());
+  }
+  const std::vector<double> tmpl = to_bipolar(chips);
+  DecodeWorkspace ws;
+  correlate_and_rank(syn.ct, tmpl, syn.frame_start, cfg.chip_duration_us,
+                     cfg.min_fill * static_cast<double>(tmpl.size()), 1, ws);
+  EXPECT_GT(ws.corrs[0], 0.5);
 }
 
 TEST(CodedDecoder, LongerCodesSurviveMoreNoise) {

@@ -45,6 +45,15 @@ wifi::CaptureTrace make_trace(const std::vector<TimeUs>& frame_starts,
   return trace;
 }
 
+/// Keeps a copy of every frame the decoder emits (on_frame() sees reused
+/// scratch).
+struct Collector final : FrameSink {
+  std::vector<UplinkDecodeResult> frames;
+  void on_frame(const UplinkDecodeResult& frame) override {
+    frames.push_back(frame);
+  }
+};
+
 StreamingDecoderConfig stream_config(std::size_t payload_bits,
                                      TimeUs bit_us) {
   StreamingDecoderConfig cfg;
@@ -58,13 +67,12 @@ TEST(StreamingDecoder, EmitsSingleFrame) {
   const auto trace = make_trace({TimeUs{700'000}}, {payload}, TimeUs{5'000},
                                 TimeUs{1'500'000}, 2);
   StreamingUplinkDecoder dec(stream_config(24, TimeUs{5'000}));
-  std::vector<UplinkDecodeResult> got;
-  for (const auto& rec : trace) {
-    auto frames = dec.push(rec);
-    got.insert(got.end(), frames.begin(), frames.end());
-  }
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].payload, payload);
+  Collector sink;
+  std::size_t emitted = 0;
+  for (const auto& rec : trace) emitted += dec.push(rec, sink);
+  ASSERT_EQ(sink.frames.size(), 1u);
+  EXPECT_EQ(emitted, 1u);
+  EXPECT_EQ(sink.frames[0].payload, payload);
   EXPECT_EQ(dec.frames_emitted(), 1u);
 }
 
@@ -76,11 +84,9 @@ TEST(StreamingDecoder, EmitsTwoFramesInOrder) {
       make_trace({TimeUs{700'000}, TimeUs{1'400'000}}, {p1, p2},
                  TimeUs{5'000}, TimeUs{2'200'000}, 5);
   StreamingUplinkDecoder dec(stream_config(24, TimeUs{5'000}));
-  std::vector<UplinkDecodeResult> got;
-  for (const auto& rec : trace) {
-    auto frames = dec.push(rec);
-    got.insert(got.end(), frames.begin(), frames.end());
-  }
+  Collector sink;
+  for (const auto& rec : trace) dec.push(rec, sink);
+  const auto& got = sink.frames;
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].payload, p1);
   EXPECT_EQ(got[1].payload, p2);
@@ -90,11 +96,9 @@ TEST(StreamingDecoder, EmitsTwoFramesInOrder) {
 TEST(StreamingDecoder, QuietAirEmitsNothing) {
   const auto trace = make_trace({}, {}, TimeUs{5'000}, TimeUs{1'200'000}, 6);
   StreamingUplinkDecoder dec(stream_config(24, TimeUs{5'000}));
-  std::size_t emitted = 0;
-  for (const auto& rec : trace) {
-    emitted += dec.push(rec).size();
-  }
-  EXPECT_EQ(emitted, 0u);
+  Collector sink;
+  for (const auto& rec : trace) dec.push(rec, sink);
+  EXPECT_TRUE(sink.frames.empty());
 }
 
 TEST(StreamingDecoder, BufferStaysBounded) {
@@ -102,9 +106,10 @@ TEST(StreamingDecoder, BufferStaysBounded) {
   StreamingDecoderConfig cfg = stream_config(24, TimeUs{5'000});
   cfg.history_us = TimeUs{500'000};
   StreamingUplinkDecoder dec(cfg);
+  Collector sink;
   std::size_t max_buffered = 0;
   for (const auto& rec : trace) {
-    dec.push(rec);
+    dec.push(rec, sink);
     max_buffered = std::max(max_buffered, dec.buffered());
   }
   // 4 s of packets at 3000/s = 12000; the rolling window must hold far
@@ -121,14 +126,12 @@ TEST(StreamingDecoder, FlushDrainsStrandedFinalFrame) {
   const auto trace = make_trace({TimeUs{700'000}}, {payload}, TimeUs{5'000},
                                 TimeUs{890'000}, 11);
   StreamingUplinkDecoder dec(stream_config(24, TimeUs{5'000}));
-  std::size_t pushed = 0;
-  for (const auto& rec : trace) {
-    pushed += dec.push(rec).size();
-  }
-  EXPECT_EQ(pushed, 0u);  // the pre-fix behaviour: frame never emitted
-  const auto drained = dec.flush();
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].payload, payload);
+  Collector sink;
+  for (const auto& rec : trace) dec.push(rec, sink);
+  EXPECT_TRUE(sink.frames.empty());  // the pre-fix behaviour: never emitted
+  EXPECT_EQ(dec.flush(sink), 1u);
+  ASSERT_EQ(sink.frames.size(), 1u);
+  EXPECT_EQ(sink.frames[0].payload, payload);
   EXPECT_EQ(dec.frames_emitted(), 1u);
 }
 
@@ -137,15 +140,19 @@ TEST(StreamingDecoder, FlushIsIdempotent) {
   const auto trace = make_trace({TimeUs{700'000}}, {payload}, TimeUs{5'000},
                                 TimeUs{890'000}, 13);
   StreamingUplinkDecoder dec(stream_config(24, TimeUs{5'000}));
-  for (const auto& rec : trace) dec.push(rec);
-  EXPECT_EQ(dec.flush().size(), 1u);
-  EXPECT_EQ(dec.flush().size(), 0u);
+  Collector sink;
+  for (const auto& rec : trace) dec.push(rec, sink);
+  EXPECT_EQ(dec.flush(sink), 1u);
+  EXPECT_EQ(dec.flush(sink), 0u);
+  EXPECT_EQ(sink.frames.size(), 1u);
   EXPECT_EQ(dec.frames_emitted(), 1u);
 }
 
 TEST(StreamingDecoder, FlushOnEmptyDecoderIsANoOp) {
   StreamingUplinkDecoder dec(stream_config(24, TimeUs{5'000}));
-  EXPECT_TRUE(dec.flush().empty());
+  Collector sink;
+  EXPECT_EQ(dec.flush(sink), 0u);
+  EXPECT_TRUE(sink.frames.empty());
 }
 
 TEST(StreamingDecoder, FlushAfterNormalEmissionAddsNothing) {
@@ -155,10 +162,11 @@ TEST(StreamingDecoder, FlushAfterNormalEmissionAddsNothing) {
   const auto trace = make_trace({TimeUs{700'000}}, {payload}, TimeUs{5'000},
                                 TimeUs{1'500'000}, 15);
   StreamingUplinkDecoder dec(stream_config(24, TimeUs{5'000}));
-  std::size_t pushed = 0;
-  for (const auto& rec : trace) pushed += dec.push(rec).size();
-  EXPECT_EQ(pushed, 1u);
-  EXPECT_TRUE(dec.flush().empty());
+  Collector sink;
+  for (const auto& rec : trace) dec.push(rec, sink);
+  EXPECT_EQ(sink.frames.size(), 1u);
+  EXPECT_EQ(dec.flush(sink), 0u);
+  EXPECT_EQ(sink.frames.size(), 1u);
 }
 
 TEST(StreamingDecoder, ConfigWithSearchWindowViolates) {
@@ -191,47 +199,18 @@ TEST(StreamingDecoder, ResetRestoresFreshState) {
   const auto trace = make_trace({TimeUs{700'000}}, {payload}, TimeUs{5'000},
                                 TimeUs{1'500'000}, 2);
   StreamingUplinkDecoder dec(stream_config(24, TimeUs{5'000}));
-  std::size_t first = 0;
-  for (const auto& rec : trace) first += dec.push(rec).size();
-  EXPECT_EQ(first, 1u);
+  Collector first;
+  for (const auto& rec : trace) dec.push(rec, first);
+  EXPECT_EQ(first.frames.size(), 1u);
   dec.reset();
   EXPECT_EQ(dec.buffered(), 0u);
   EXPECT_EQ(dec.frames_emitted(), 0u);
   // The same records decode identically in the decoder's second life
   // (reset() would otherwise reject them as out of time order).
-  std::vector<UplinkDecodeResult> got;
-  for (const auto& rec : trace) {
-    auto frames = dec.push(rec);
-    got.insert(got.end(), frames.begin(), frames.end());
-  }
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].payload, payload);
-}
-
-TEST(StreamingDecoder, SinkOverloadMatchesVectorOverload) {
-  struct CountingSink final : FrameSink {
-    std::vector<BitVec> payloads;
-    void on_frame(const UplinkDecodeResult& frame) override {
-      payloads.push_back(frame.payload);
-    }
-  };
-  const BitVec payload = random_bits(24, 1);
-  const auto trace = make_trace({TimeUs{700'000}}, {payload}, TimeUs{5'000},
-                                TimeUs{1'500'000}, 2);
-  StreamingUplinkDecoder vec_dec(stream_config(24, TimeUs{5'000}));
-  StreamingUplinkDecoder sink_dec(stream_config(24, TimeUs{5'000}));
-  CountingSink sink;
-  std::vector<UplinkDecodeResult> vec_got;
-  std::size_t sink_got = 0;
-  for (const auto& rec : trace) {
-    auto frames = vec_dec.push(rec);
-    vec_got.insert(vec_got.end(), frames.begin(), frames.end());
-    sink_got += sink_dec.push(rec, sink);
-  }
-  ASSERT_EQ(vec_got.size(), 1u);
-  ASSERT_EQ(sink_got, 1u);
-  ASSERT_EQ(sink.payloads.size(), 1u);
-  EXPECT_EQ(sink.payloads[0], vec_got[0].payload);
+  Collector second;
+  for (const auto& rec : trace) dec.push(rec, second);
+  ASSERT_EQ(second.frames.size(), 1u);
+  EXPECT_EQ(second.frames[0].payload, payload);
 }
 
 TEST(StreamingDecoder, FrameNeverEmittedTwice) {
@@ -239,11 +218,9 @@ TEST(StreamingDecoder, FrameNeverEmittedTwice) {
   const auto trace = make_trace({TimeUs{700'000}}, {payload}, TimeUs{5'000},
                                 TimeUs{3'000'000}, 9);
   StreamingUplinkDecoder dec(stream_config(24, TimeUs{5'000}));
-  std::size_t emitted = 0;
-  for (const auto& rec : trace) {
-    emitted += dec.push(rec).size();
-  }
-  EXPECT_EQ(emitted, 1u);
+  Collector sink;
+  for (const auto& rec : trace) dec.push(rec, sink);
+  EXPECT_EQ(sink.frames.size(), 1u);
 }
 
 }  // namespace

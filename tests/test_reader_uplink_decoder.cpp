@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "reader/slot_sync.h"
 #include "sim/rng.h"
 #include "util/check.h"
 #include "util/codes.h"
@@ -76,41 +79,68 @@ UplinkDecoderConfig config_for(const SyntheticSpec& spec) {
   return cfg;
 }
 
+/// Signed preamble correlation of one stream at a candidate start: the
+/// shared sync kernel's per-stream output under the decoder's fill gate.
+double preamble_corr(const ConditionedTrace& ct,
+                     const UplinkDecoderConfig& cfg, std::size_t stream,
+                     TimeUs start) {
+  const std::vector<double> tmpl = to_bipolar(cfg.preamble);
+  DecodeWorkspace ws;
+  correlate_and_rank(ct, tmpl, start, cfg.bit_duration_us,
+                     cfg.min_preamble_fill * static_cast<double>(tmpl.size()),
+                     1, ws);
+  return ws.corrs[stream];
+}
+
+/// Sync on a fresh workspace; nullopt when no frame start cleared the
+/// threshold, else the start with the ranked streams left in `ws`.
+std::optional<TimeUs> sync(const UplinkDecoder& dec,
+                           const ConditionedTrace& ct, DecodeWorkspace& ws) {
+  TimeUs start{0};
+  double score = 0.0;
+  obs::DropReason failure{};
+  if (!dec.find_frame(ct, ws, start, score, failure)) return std::nullopt;
+  return start;
+}
+
 TEST(BinSlots, MeansAndCounts) {
   ConditionedTrace ct;
   ct.timestamps = {TimeUs{0},     TimeUs{100},   TimeUs{200},
                    TimeUs{1'000}, TimeUs{1'100}, TimeUs{2'500}};
   ct.streams = {{1.0, 2.0, 3.0, 10.0, 20.0, 7.0}};
-  const auto slots =
-      UplinkDecoder::bin_slots(ct, 0, TimeUs{0}, TimeUs{1'000}, 3);
-  ASSERT_EQ(slots.size(), 3u);
-  EXPECT_EQ(slots[0].count, 3u);
-  EXPECT_DOUBLE_EQ(slots[0].mean, 2.0);
-  EXPECT_EQ(slots[1].count, 2u);
-  EXPECT_DOUBLE_EQ(slots[1].mean, 15.0);
-  EXPECT_EQ(slots[2].count, 1u);
-  EXPECT_DOUBLE_EQ(slots[2].mean, 7.0);
+  DecodeWorkspace ws;
+  bin_window_into(ct, TimeUs{0}, TimeUs{1'000}, 3, ws);
+  bin_stream_sums_into(ct, 0, ws);
+  ASSERT_EQ(ws.bin_count.size(), 3u);
+  ASSERT_EQ(ws.bin_sums.size(), 3u);
+  EXPECT_EQ(ws.bin_filled, 3u);
+  EXPECT_EQ(ws.bin_count[0], 3u);
+  EXPECT_DOUBLE_EQ(ws.bin_sums[0] / ws.bin_count[0], 2.0);
+  EXPECT_EQ(ws.bin_count[1], 2u);
+  EXPECT_DOUBLE_EQ(ws.bin_sums[1] / ws.bin_count[1], 15.0);
+  EXPECT_EQ(ws.bin_count[2], 1u);
+  EXPECT_DOUBLE_EQ(ws.bin_sums[2] / ws.bin_count[2], 7.0);
 }
 
 TEST(BinSlots, IgnoresPacketsOutsideRange) {
   ConditionedTrace ct;
   ct.timestamps = {TimeUs{-500}, TimeUs{0}, TimeUs{500}, TimeUs{5'000}};
   ct.streams = {{100.0, 1.0, 2.0, 100.0}};
-  const auto slots =
-      UplinkDecoder::bin_slots(ct, 0, TimeUs{0}, TimeUs{1'000}, 1);
-  EXPECT_EQ(slots[0].count, 2u);
-  EXPECT_DOUBLE_EQ(slots[0].mean, 1.5);
+  DecodeWorkspace ws;
+  bin_window_into(ct, TimeUs{0}, TimeUs{1'000}, 1, ws);
+  bin_stream_sums_into(ct, 0, ws);
+  EXPECT_EQ(ws.bin_count[0], 2u);
+  EXPECT_DOUBLE_EQ(ws.bin_sums[0] / ws.bin_count[0], 1.5);
 }
 
 TEST(UplinkDecoder, PreambleCorrelationPeaksAtTrueStart) {
   SyntheticSpec spec;
   spec.noise = 0.05;
   const auto syn = make_synthetic(spec);
-  UplinkDecoder dec(config_for(spec));
-  const double at_true =
-      dec.preamble_correlation(syn.ct, 0, syn.frame_start);
+  const auto cfg = config_for(spec);
+  const double at_true = preamble_corr(syn.ct, cfg, 0, syn.frame_start);
   const double off =
-      dec.preamble_correlation(syn.ct, 0, syn.frame_start + 4 * spec.bit_us);
+      preamble_corr(syn.ct, cfg, 0, syn.frame_start + 4 * spec.bit_us);
   EXPECT_GT(at_true, 0.8);
   EXPECT_GT(at_true, std::abs(off) + 0.3);
 }
@@ -120,27 +150,27 @@ TEST(UplinkDecoder, CorrelationSignReflectsPolarity) {
   spec.noise = 0.05;
   spec.alternate_polarity = true;
   const auto syn = make_synthetic(spec);
-  UplinkDecoder dec(config_for(spec));
-  EXPECT_GT(dec.preamble_correlation(syn.ct, 0, syn.frame_start), 0.5);
-  EXPECT_LT(dec.preamble_correlation(syn.ct, 1, syn.frame_start), -0.5);
+  const auto cfg = config_for(spec);
+  EXPECT_GT(preamble_corr(syn.ct, cfg, 0, syn.frame_start), 0.5);
+  EXPECT_LT(preamble_corr(syn.ct, cfg, 1, syn.frame_start), -0.5);
 }
 
 TEST(UplinkDecoder, CorrelationZeroWhenUnderFilled) {
   SyntheticSpec spec;
   spec.packet_interval_us = 20'000;  // one packet per 4 bits
   const auto syn = make_synthetic(spec);
-  UplinkDecoder dec(config_for(spec));
-  EXPECT_DOUBLE_EQ(dec.preamble_correlation(syn.ct, 0, syn.frame_start),
-                   0.0);
+  EXPECT_DOUBLE_EQ(
+      preamble_corr(syn.ct, config_for(spec), 0, syn.frame_start), 0.0);
 }
 
 TEST(UplinkDecoder, FindsFrameStart) {
   SyntheticSpec spec;
   const auto syn = make_synthetic(spec);
   UplinkDecoder dec(config_for(spec));
-  const auto sync = dec.find_frame(syn.ct);
-  ASSERT_TRUE(sync.has_value());
-  EXPECT_NEAR(static_cast<double>(sync->start.ticks()),
+  DecodeWorkspace ws;
+  const auto start = sync(dec, syn.ct, ws);
+  ASSERT_TRUE(start.has_value());
+  EXPECT_NEAR(static_cast<double>(start->ticks()),
               static_cast<double>(syn.frame_start.ticks()),
               static_cast<double>(spec.bit_us.ticks()) / 2.0);
 }
@@ -153,10 +183,11 @@ TEST(UplinkDecoder, SelectsGoodStreams) {
   UplinkDecoderConfig cfg = config_for(spec);
   cfg.num_good_streams = 5;
   UplinkDecoder dec(cfg);
-  const auto sync = dec.find_frame(syn.ct);
-  ASSERT_TRUE(sync.has_value());
+  DecodeWorkspace ws;
+  ASSERT_TRUE(sync(dec, syn.ct, ws).has_value());
+  ASSERT_EQ(ws.best_streams.size(), 5u);
   // All 5 selected streams should be among the 5 that carry signal.
-  for (std::size_t s : sync->streams) {
+  for (std::size_t s : ws.best_streams) {
     EXPECT_LT(s, 5u) << "noise stream selected";
   }
 }

@@ -185,9 +185,9 @@ TEST(WorkspaceIdentity, CodedDecodeMatchesAcrossReuse) {
 }
 
 TEST(WorkspaceIdentity, UplinkBatchMatchesPerTraceDecode) {
-  // decode_batch_into over mixed-shape traces (big, small, big, empty)
-  // through ONE workspace must equal per-trace decode() exactly — the
-  // batch API is a loop sharing scratch, not a different pipeline.
+  // A batch of mixed-shape traces (big, small, big, empty) decoded one
+  // after another through ONE workspace and ONE reused result must equal
+  // per-trace decode() exactly, whatever the previous trace left behind.
   const auto big = make_capture(TimeUs{10'000}, 32, TimeUs{900'000}, 31, true);
   const auto small = make_capture(TimeUs{10'000}, 32, TimeUs{700'000}, 32,
                                   false);
@@ -202,23 +202,17 @@ TEST(WorkspaceIdentity, UplinkBatchMatchesPerTraceDecode) {
   const UplinkDecoder dec(cfg);
 
   DecodeWorkspace ws;
-  std::vector<UplinkDecodeResult> results;
-  // Pre-fill with stale entries (and the wrong size) to prove the batch
-  // resizes and overwrites rather than appending.
-  results.resize(7);
-  dec.decode_batch_into(traces, ws, results);
-  ASSERT_EQ(results.size(), traces.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    expect_same(dec.decode(traces[i]), results[i]);
+  UplinkDecodeResult out;
+  // Twice round: the second pass runs on a warm workspace.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& trace : traces) {
+      dec.decode_into(trace, ws, out);
+      expect_same(dec.decode(trace), out);
+    }
   }
-  EXPECT_TRUE(results[0].found);
-  EXPECT_FALSE(results[3].found);
-
-  // Run the same batch again through the warm workspace: still identical.
-  dec.decode_batch_into(traces, ws, results);
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    expect_same(dec.decode(traces[i]), results[i]);
-  }
+  EXPECT_FALSE(out.found);  // the empty trace came last
+  dec.decode_into(traces[0], ws, out);
+  EXPECT_TRUE(out.found);
 }
 
 TEST(WorkspaceIdentity, CodedBatchMatchesPerTraceDecode) {
@@ -255,14 +249,12 @@ TEST(WorkspaceIdentity, CodedBatchMatchesPerTraceDecode) {
                                                trace};
   const CodedUplinkDecoder dec(cfg);
   DecodeWorkspace ws;
-  std::vector<CodedDecodeResult> results;
-  dec.decode_batch_into(traces, ws, results);
-  ASSERT_EQ(results.size(), traces.size());
+  CodedDecodeResult out;
   for (std::size_t i = 0; i < traces.size(); ++i) {
-    expect_same(dec.decode(traces[i]), results[i]);
+    dec.decode_into(traces[i], ws, out);
+    expect_same(dec.decode(traces[i]), out);
+    EXPECT_EQ(out.found, i != 1);  // the empty trace sits in the middle
   }
-  EXPECT_TRUE(results[0].found);
-  EXPECT_FALSE(results[1].found);
 }
 
 }  // namespace

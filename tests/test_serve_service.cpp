@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/uplink_sim.h"
 #include "obs/metrics.h"
 #include "serve/error.h"
@@ -314,6 +316,63 @@ TEST(CaptureService, ErrorTaxonomy) {
   EXPECT_EQ(svc.submit(1, rec).code(), ErrorCode::kWrongState);
   EXPECT_EQ(svc.detach(1).code(), ErrorCode::kWrongState);
   EXPECT_TRUE(svc.stop().ok());  // idempotent
+}
+
+TEST(CaptureService, OutOfOrderRecordRejectedBeforeRing) {
+  // A record older than the session's last one used to pass submit() and
+  // then abort the process in the streaming decoder's time-order
+  // precondition on the next poll().
+  CaptureService svc(serve_config(1, BackpressurePolicy::kBlockProducer, 16));
+  ASSERT_TRUE(svc.attach(1).ok());
+  const auto& trace = shared_trace();
+  ASSERT_TRUE(svc.submit(1, trace[10]).ok());
+  EXPECT_EQ(svc.submit(1, trace[9]).code(), ErrorCode::kInvalidArguments);
+  EXPECT_EQ(svc.counters().submitted, 1u);
+  EXPECT_EQ(svc.ring_depth(), 1u);
+  svc.poll();
+  EXPECT_TRUE(svc.submit(1, trace[10]).ok());  // equal timestamps are fine
+  svc.drain_all();
+  obs::ForensicsSink merged;
+  svc.merge_forensics_into(merged);
+  EXPECT_EQ(merged.attempts(obs::DropStage::kIngest), 2u);
+  EXPECT_EQ(merged.decodes(obs::DropStage::kIngest), 2u);
+  // A re-attached session starts a fresh timeline.
+  ASSERT_TRUE(svc.detach(1).ok());
+  ASSERT_TRUE(svc.attach(1).ok());
+  EXPECT_TRUE(svc.submit(1, trace[0]).ok());
+  svc.drain_all();
+}
+
+TEST(CaptureService, NonFiniteRecordRejectedBeforeRing) {
+  // One NaN CSI cell used to pass submit() and then abort drain_all() in
+  // the decoder's MRC noise-variance postcondition (max(NaN, floor) is
+  // NaN).
+  CaptureService svc(serve_config(1, BackpressurePolicy::kBlockProducer, 64));
+  ASSERT_TRUE(svc.attach(0).ok());
+  const auto& trace = shared_trace();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    wifi::CaptureRecord rec = trace[i];
+    if (i == 2150) rec.csi[0][3] = nan;         // inside the preamble
+    if (i == 2151) rec.rssi_dbm[2] = -inf;
+    const Error err = svc.submit(0, rec);
+    if (!err.ok()) {
+      EXPECT_EQ(err.code(), ErrorCode::kInvalidArguments);
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(rejected, 2u);
+  EXPECT_EQ(svc.counters().submitted, trace.size() - 2);
+  svc.drain_all();
+  EXPECT_EQ(svc.find(0)->frames_total(), 1u);
+  // A record without CSI never has its CSI cells read, so they are not
+  // checked.
+  wifi::CaptureRecord rssi_only = trace.back();
+  rssi_only.has_csi = false;
+  rssi_only.csi[0][0] = nan;
+  EXPECT_TRUE(svc.submit(0, rssi_only).ok());
 }
 
 TEST(CaptureService, DetachRetiresForensicsAndFreesSlot) {

@@ -178,6 +178,17 @@ TEST(TraceIo, RejectsMalformedCsi) {
   expect_rejected(with_cell(one_row_csv(true), 6, "1.5x"), "column 7");
 }
 
+TEST(TraceIo, RejectsNonFiniteMeasurements) {
+  // Regression: from_chars parses nan/inf, and one such cell reached the
+  // decoder's contract checks and aborted `serve --in capture.csv`.
+  expect_rejected(with_cell(one_row_csv(true), 3, "nan"),
+                  "line 2, column 4: expected finite rssi value");
+  expect_rejected(with_cell(one_row_csv(true), 5, "-inf"), "column 6");
+  expect_rejected(with_cell(one_row_csv(true), 6, "NaN"),
+                  "line 2, column 7: expected finite csi value");
+  expect_rejected(with_cell(one_row_csv(true), 95, "infinity"), "column 96");
+}
+
 TEST(TraceIo, RejectsNonEmptyCsiOnRssiOnlyRow) {
   // Regression: CSI cells on has_csi=0 rows were silently ignored, so a
   // row misaligned with the header round-tripped to different data.

@@ -1,9 +1,8 @@
 """wb_analyze: determinism & hygiene static analysis for the Wi-Fi
 Backscatter codebase.
 
-Entry points:
+Entry point:
     python3 tools/wb_analyze [--json-out F] [--baseline F] [--root DIR]
-    python3 tools/wb_lint.py          (legacy shim, same engine)
 
 See tools/wb_analyze/engine.py for the engine and rules/ for the
 catalogue; `--list-rules` prints every rule with family and severity.

@@ -1,6 +1,6 @@
 """The six wb_lint rule generations, ported onto the wb_analyze engine.
 
-Behaviour is intentionally identical to tools/wb_lint.py at PR 4 (scope
+Behaviour is intentionally identical to the original regex lint (scope
 included): pragma-once / using-namespace / unit-suffix over src/ headers,
 no-rand / metric-name / no-raw-thread over src/, no-stox additionally over
 bench/ and examples/.
