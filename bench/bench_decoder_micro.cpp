@@ -84,8 +84,8 @@ void BM_Conditioning(benchmark::State& state) {
 BENCHMARK(BM_Conditioning);
 
 void BM_PreambleCorrelation(benchmark::State& state) {
-  // One sync probe at the true frame start: every stream correlated with
-  // the preamble and ranked (find_frame runs one per candidate offset).
+  // One sync probe at the true frame start: a one-candidate search, every
+  // stream correlated with the preamble and ranked.
   const auto ct =
       reader::condition(shared_trace(), reader::MeasurementSource::kCsi);
   const auto cfg = shared_decoder_config();
@@ -93,10 +93,13 @@ void BM_PreambleCorrelation(benchmark::State& state) {
   const double need =
       cfg.min_preamble_fill * static_cast<double>(tmpl.size());
   reader::DecodeWorkspace ws;
+  double score = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(reader::correlate_and_rank(
-        ct, tmpl, TimeUs{600'000}, cfg.bit_duration_us, need,
-        cfg.num_good_streams, ws));
+    reader::sync_search(ct, tmpl, cfg.bit_duration_us, need,
+                        cfg.num_good_streams, TimeUs{600'000},
+                        TimeUs{600'000}, cfg.bit_duration_us, ws,
+                        [&score](TimeUs, double s) { score = s; });
+    benchmark::DoNotOptimize(score);
   }
 }
 BENCHMARK(BM_PreambleCorrelation);

@@ -354,6 +354,15 @@ int run_serve(const util::Args& args) {
   const TimeUs bit_us = TimeUs::from_us(args.num("--bit-us", 5'000));
   cfg.decoder.decoder.payload_bits = payload_bits;
   cfg.decoder.decoder.bit_duration_us = bit_us;
+  if (const auto err = serve::validate(cfg); !err.ok()) {
+    std::fprintf(stderr, "serve: %s\n", err.message().c_str());
+    return 2;
+  }
+  const TimeUs stagger = TimeUs::from_us(args.num("--stagger-us", 1'733));
+  if (stagger < TimeUs{}) {
+    std::fprintf(stderr, "serve: --stagger-us must be non-negative\n");
+    return 2;
+  }
   const std::uint64_t seed = args.u64("--seed", 1);
 
   // Source capture: a recorded CSV, or a synthetic frame (the streaming
@@ -406,7 +415,6 @@ int run_serve(const util::Args& args) {
   // Replay the capture as `sessions` concurrent time-staggered streams
   // merged in global timestamp order — what a live multi-NIC feed looks
   // like to the service.
-  const TimeUs stagger = TimeUs::from_us(args.num("--stagger-us", 1'733));
   wifi::MultiSessionFeed feed(wifi::fan_out(trace, sessions, stagger));
   std::uint32_t session = 0;
   wifi::CaptureRecord rec{};

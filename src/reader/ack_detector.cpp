@@ -33,26 +33,29 @@ AckDetection detect_ack(const ConditionedTrace& ct, const AckConfig& cfg,
   }
 
   // The best single stream (g = 1) at each offset of the search region,
-  // on the decoders' correlate-and-rank kernel; a window scores once at
-  // least half its chip slots hold a packet.
+  // on the decoders' sync search kernel; a window scores once at least
+  // half its chip slots hold a packet.
   const std::size_t nchips = cfg.pattern.size();
   const std::vector<double> tmpl = to_bipolar(cfg.pattern);
   const TimeUs step =
       std::max(cfg.chip_duration_us / 4, TimeUs{1});
   DecodeWorkspace ws;
   bool any_scored = false;
-  for (TimeUs tau = expected_start_us - cfg.jitter_us;
-       ct.num_streams() > 0 && tau <= expected_start_us + cfg.jitter_us;
-       tau += step) {
-    const double score =
-        correlate_and_rank(ct, tmpl, tau, cfg.chip_duration_us,
-                           static_cast<double>(nchips / 2), 1, ws);
-    if (ws.bin_filled < nchips / 2 || ws.bin_filled == 0) continue;
-    any_scored = true;
-    if (score > out.score) {
-      out.score = score;
-      out.at_us = tau;
-    }
+  if (ct.num_streams() > 0) {
+    sync_search(ct, tmpl, cfg.chip_duration_us,
+                static_cast<double>(nchips / 2), 1,
+                expected_start_us - cfg.jitter_us,
+                expected_start_us + cfg.jitter_us, step, ws,
+                [&](TimeUs tau, double score) {
+                  if (ws.bin_filled < nchips / 2 || ws.bin_filled == 0) {
+                    return;
+                  }
+                  any_scored = true;
+                  if (score > out.score) {
+                    out.score = score;
+                    out.at_us = tau;
+                  }
+                });
   }
   out.detected = out.score >= cfg.threshold;
   if (out.detected) {

@@ -169,41 +169,39 @@ void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
 
   const std::size_t g = std::min(cfg_.num_good_streams, ct->num_streams());
 
-  // --- Frame sync: the shared correlate-and-rank kernel (slot_sync.h)
-  // against the coded preamble ---
+  // --- Frame sync: the shared search kernel (slot_sync.h) against the
+  // coded preamble ---
   const double need =
       cfg_.min_fill * static_cast<double>(preamble_chips_bipolar_.size());
-  const auto evaluate = [&](TimeUs tau) {
-    return correlate_and_rank(*ct, preamble_chips_bipolar_, tau,
-                              cfg_.chip_duration_us, need, g, ws);
-  };
   TimeUs best_start{0};
   double best_score = -1.0;
-
   if (cfg_.known_start) {
     best_start = *cfg_.known_start;
-    best_score = evaluate(best_start);
   } else {
     const TimeUs t0 = ct->timestamps.front();
     const TimeUs t1 = ct->timestamps.back();
     const TimeUs from = cfg_.search_from.value_or(t0);
     const TimeUs to =
         std::max(from, cfg_.search_to.value_or(t1 - cfg_.frame_duration_us()));
-    const TimeUs step = cfg_.sync_step_us > TimeUs{}
-                            ? cfg_.sync_step_us
-                            : cfg_.chip_duration_us / 2;
-    for (TimeUs tau = from; tau <= to; tau += std::max(step, TimeUs{1})) {
-      const double score = evaluate(tau);
-      // First-max-wins: the strict `>` keeps the *earliest* tau among
-      // equal peaks. Pinned by tests — see the uplink decoder's sync loop.
-      if (score > best_score) {
-        best_score = score;
-        best_start = tau;
-      }
-    }
-    // Re-evaluate at the winner so ws.corrs/ws.order describe it.
-    best_score = evaluate(best_start);
+    const TimeUs step = std::max(cfg_.sync_step_us > TimeUs{}
+                                     ? cfg_.sync_step_us
+                                     : cfg_.chip_duration_us / 2,
+                                 TimeUs{1});
+    sync_search(*ct, preamble_chips_bipolar_, cfg_.chip_duration_us, need, g,
+                from, to, step, ws, [&](TimeUs tau, double score) {
+                  // First-max-wins: the strict `>` keeps the *earliest*
+                  // tau among equal peaks. Pinned by tests — see the
+                  // uplink decoder's sync search.
+                  if (score > best_score) {
+                    best_score = score;
+                    best_start = tau;
+                  }
+                });
   }
+  // Probe the chosen start alone so ws.corrs/ws.order describe it.
+  sync_search(*ct, preamble_chips_bipolar_, cfg_.chip_duration_us, need, g,
+              best_start, best_start, cfg_.chip_duration_us, ws,
+              [&best_score](TimeUs, double score) { best_score = score; });
 
   out.found = best_score > 0.0;
   if (!out.found) {

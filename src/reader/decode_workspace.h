@@ -38,18 +38,27 @@ struct DecodeWorkspace {
   std::vector<double> row_sums;       ///< per-lane window-sum scratch
   std::vector<double> row_mads;       ///< per-lane MAD divisors
 
-  // -- frame sync (correlate_and_rank, slot_sync.h) --
+  // -- frame sync (sync_search, slot_sync.h) --
   std::vector<double> corrs;             ///< per-stream preamble correlation
 
-  // Stream-batched slot binning (bin_window_into): the timestamp→slot map
-  // and per-slot packet counts are shared by every stream of a window, so
-  // they are computed once per candidate start.
+  // The search's phase grid, one block of kSyncBlock candidates at a time
+  // (bounded by the block, not by the search length or step).
+  std::vector<double> sync_corrs;        ///< [candidate][stream] corrs
+  std::vector<std::size_t> sync_filled;  ///< filled slots per candidate
+  std::vector<std::size_t> sync_edges;   ///< first packet of each slot
+  std::vector<double> sync_means;        ///< one stream's slot means
+
+  // One-window slot binning (bin_window_into): the timestamp→slot map and
+  // per-slot packet counts are shared by every stream of a window, so
+  // they are computed once per window.
   std::vector<std::uint32_t> bin_slot_of;  ///< slot of each window packet
   std::vector<std::uint32_t> bin_count;    ///< packets binned per slot
   std::vector<double> bin_sums;            ///< per-slot sums of one stream
   std::size_t bin_first = 0;   ///< trace index of the window's first packet
   std::size_t bin_nslots = 0;  ///< slots in the prepared window
-  std::size_t bin_filled = 0;  ///< slots with at least one packet
+  /// Slots with at least one packet: the prepared window's, or the
+  /// current sync_search candidate's.
+  std::size_t bin_filled = 0;
   std::vector<std::size_t> order;        ///< stream ranking scratch
   std::vector<std::size_t> best_streams; ///< selected streams of the best tau
   std::vector<double> best_polarity;     ///< their correlation signs

@@ -50,9 +50,10 @@ bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
   // makes t1 - frame_duration precede `from`), where probing the single
   // offset `from` is the right degenerate search.
   to = std::max(to, from);
-  const TimeUs step =
-      cfg_.sync_step_us > TimeUs{} ? cfg_.sync_step_us
-                                   : cfg_.bit_duration_us / 4;
+  const TimeUs step = std::max(cfg_.sync_step_us > TimeUs{}
+                                   ? cfg_.sync_step_us
+                                   : cfg_.bit_duration_us / 4,
+                               TimeUs{1});
 
   const std::size_t g =
       std::min(cfg_.num_good_streams, ct.num_streams());
@@ -62,24 +63,26 @@ bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
   bool has_best = false;
   TimeUs best_start{0};
   double best_score = 0.0;
-  for (TimeUs tau = from; tau <= to; tau += std::max(step, TimeUs{1})) {
-    const double tau_score = correlate_and_rank(
-        ct, preamble_bipolar_, tau, cfg_.bit_duration_us, need, g, ws);
-    // First-max-wins: the strict `>` keeps the *earliest* tau among equal
-    // peaks. Load-bearing and pinned by tests — a reassociated reduction
-    // or a `>=` here would silently shift which frame start wins.
-    if (!has_best || tau_score > best_score) {
-      has_best = true;
-      best_start = tau;
-      best_score = tau_score;
-      ws.best_streams.assign(ws.order.begin(),
-                             ws.order.begin() + static_cast<long>(g));
-      ws.best_polarity.resize(g);
-      for (std::size_t i = 0; i < g; ++i) {
-        ws.best_polarity[i] = ws.corrs[ws.order[i]] >= 0.0 ? 1.0 : -1.0;
-      }
-    }
-  }
+  sync_search(ct, preamble_bipolar_, cfg_.bit_duration_us, need, g, from, to,
+              step, ws, [&](TimeUs tau, double tau_score) {
+                // First-max-wins: the strict `>` keeps the *earliest* tau
+                // among equal peaks. Load-bearing and pinned by tests — a
+                // reassociated reduction or a `>=` here would silently
+                // shift which frame start wins.
+                if (!has_best || tau_score > best_score) {
+                  has_best = true;
+                  best_start = tau;
+                  best_score = tau_score;
+                  ws.best_streams.assign(
+                      ws.order.begin(),
+                      ws.order.begin() + static_cast<long>(g));
+                  ws.best_polarity.resize(g);
+                  for (std::size_t i = 0; i < g; ++i) {
+                    ws.best_polarity[i] =
+                        ws.corrs[ws.order[i]] >= 0.0 ? 1.0 : -1.0;
+                  }
+                }
+              });
   if (!has_best || best_score <= cfg_.sync_threshold) {
     // A best score of exactly 0 means no candidate window ever met the
     // preamble-fill bar — the preamble was never seen. A positive score

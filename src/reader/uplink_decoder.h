@@ -145,7 +145,7 @@ class UplinkDecoder {
   }
 
   /// Frame sync (§3.2 step 1): slides the preamble over the configured
-  /// window on the shared correlate-and-rank kernel (slot_sync.h). Returns
+  /// window on the shared sync search kernel (slot_sync.h). Returns
   /// true when a frame start cleared the sync threshold, leaving
   /// start/score in the out-params and the selected streams/polarities in
   /// `ws.best_streams` / `ws.best_polarity`. On failure, `failure` names

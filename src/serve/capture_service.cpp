@@ -27,6 +27,14 @@ bool measurements_finite(const wifi::CaptureRecord& rec) {
   return true;
 }
 
+/// The constructor's contract: a config that fails validate() is a
+/// caller bug by the time it reaches the service.
+const ServeConfig& checked(const ServeConfig& cfg) {
+  const Error err = validate(cfg);
+  WB_REQUIRE(err.ok(), err.message().c_str());
+  return cfg;
+}
+
 SessionLimits limits_from(const ServeConfig& cfg) {
   SessionLimits limits;
   // A full ring routed to a single session must fit its staging array.
@@ -38,15 +46,34 @@ SessionLimits limits_from(const ServeConfig& cfg) {
 
 }  // namespace
 
+Error validate(const ServeConfig& cfg) {
+  const auto invalid = [](const char* message) {
+    return Error::make(ErrorCode::kInvalidArguments, message);
+  };
+  if (cfg.max_sessions == 0) {
+    return invalid("max_sessions must be at least 1");
+  }
+  if (cfg.ring_capacity == 0) {
+    return invalid("ring_capacity must be at least 1");
+  }
+  if (cfg.frame_capacity == 0) {
+    return invalid("frame_capacity must be at least 1");
+  }
+  if (cfg.decoder.decoder.bit_duration_us <= TimeUs{}) {
+    return invalid("decoder bit_duration_us must be positive");
+  }
+  return Error::success();
+}
+
+// cfg_ is the first member, so the contract runs before any member is
+// built from the config.
 CaptureService::CaptureService(const ServeConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(checked(cfg)),
       ring_(cfg.ring_capacity, cfg.policy),
       sessions_(cfg.max_sessions, cfg.decoder, limits_from(cfg)),
       ingest_sink_(cfg.forensics_exemplar_cap),
       dispatch_order_(cfg.max_sessions, nullptr),
-      drain_emitted_(cfg.max_sessions, 0) {
-  WB_REQUIRE(cfg.max_sessions > 0, "service needs at least one session slot");
-}
+      drain_emitted_(cfg.max_sessions, 0) {}
 
 Error CaptureService::attach(std::uint32_t session) {
   if (state_ == ServiceState::kStopped) {

@@ -64,6 +64,14 @@ struct ServeConfig {
   std::size_t retired_forensics_cap = 64;
 };
 
+/// Checks a configuration before a CaptureService is built from it:
+/// kInvalidArguments, with a message naming the field, for a value the
+/// service cannot run with (no session slots, an empty ingest or frame
+/// ring, a non-positive decoder bit duration). The constructor's contract
+/// calls the same function, so a caller holding values from outside the
+/// process (CLI flags, a config file) checks here instead of aborting.
+Error validate(const ServeConfig& cfg);
+
 enum class ServiceState : std::uint8_t {
   kIdle,      ///< no attached sessions
   kServing,   ///< at least one attached session

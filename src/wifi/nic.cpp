@@ -71,10 +71,14 @@ CaptureRecord NicModel::measure(const phy::CsiMatrix& h, TimeUs t,
       const phy::Complex noisy =
           ant_gain * h[a][s] +
           phy::Complex{rng_.normal(0.0, sd), rng_.normal(0.0, sd)};
-      power_mw += std::norm(noisy);
+      const double norm = std::norm(noisy);
+      power_mw += norm;
 
       if (rec.has_csi) {
-        double amp = std::abs(noisy) / ref_amp_ * params_.csi_scale;
+        // sqrt(|z|^2) rather than std::abs (hypot): it can differ from
+        // |z| by one ulp, but not once quantised to csi_quant_step
+        // (Nic.SqrtNormMatchesAbsOnceQuantised).
+        double amp = std::sqrt(norm) / ref_amp_ * params_.csi_scale;
         amp *= spurious;
         // Quantise to the NIC's reporting granularity.
         if (params_.csi_quant_step > 0.0) {

@@ -118,9 +118,12 @@ TEST(CodedDecoder, PreambleCorrelationPositiveAtStart) {
   }
   const std::vector<double> tmpl = to_bipolar(chips);
   DecodeWorkspace ws;
-  correlate_and_rank(syn.ct, tmpl, syn.frame_start, cfg.chip_duration_us,
-                     cfg.min_fill * static_cast<double>(tmpl.size()), 1, ws);
-  EXPECT_GT(ws.corrs[0], 0.5);
+  double corr = 0.0;
+  sync_search(syn.ct, tmpl, cfg.chip_duration_us,
+              cfg.min_fill * static_cast<double>(tmpl.size()), 1,
+              syn.frame_start, syn.frame_start, cfg.chip_duration_us, ws,
+              [&](TimeUs, double) { corr = ws.corrs[0]; });
+  EXPECT_GT(corr, 0.5);
 }
 
 TEST(CodedDecoder, LongerCodesSurviveMoreNoise) {

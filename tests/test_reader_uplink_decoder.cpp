@@ -80,16 +80,19 @@ UplinkDecoderConfig config_for(const SyntheticSpec& spec) {
 }
 
 /// Signed preamble correlation of one stream at a candidate start: the
-/// shared sync kernel's per-stream output under the decoder's fill gate.
+/// shared sync kernel's per-stream output under the decoder's fill gate,
+/// from a one-candidate search.
 double preamble_corr(const ConditionedTrace& ct,
                      const UplinkDecoderConfig& cfg, std::size_t stream,
                      TimeUs start) {
   const std::vector<double> tmpl = to_bipolar(cfg.preamble);
   DecodeWorkspace ws;
-  correlate_and_rank(ct, tmpl, start, cfg.bit_duration_us,
-                     cfg.min_preamble_fill * static_cast<double>(tmpl.size()),
-                     1, ws);
-  return ws.corrs[stream];
+  double corr = 0.0;
+  sync_search(ct, tmpl, cfg.bit_duration_us,
+              cfg.min_preamble_fill * static_cast<double>(tmpl.size()), 1,
+              start, start, cfg.bit_duration_us, ws,
+              [&](TimeUs, double) { corr = ws.corrs[stream]; });
+  return corr;
 }
 
 /// Sync on a fresh workspace; nullopt when no frame start cleared the

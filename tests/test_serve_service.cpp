@@ -318,6 +318,27 @@ TEST(CaptureService, ErrorTaxonomy) {
   EXPECT_TRUE(svc.stop().ok());  // idempotent
 }
 
+TEST(CaptureService, ValidateRejectsConfigsTheServiceCannotRun) {
+  EXPECT_TRUE(validate(ServeConfig{}).ok());
+  const auto rejects = [](auto&& edit) {
+    ServeConfig cfg;
+    edit(cfg);
+    const Error err = validate(cfg);
+    EXPECT_EQ(err.code(), ErrorCode::kInvalidArguments);
+    EXPECT_FALSE(err.message().empty());
+    // The constructor's contract is the same check.
+    ScopedContractPolicy guard(ContractPolicy::kThrow);
+    EXPECT_THROW(CaptureService{cfg}, ContractViolation);
+  };
+  rejects([](ServeConfig& c) { c.max_sessions = 0; });
+  rejects([](ServeConfig& c) { c.ring_capacity = 0; });
+  rejects([](ServeConfig& c) { c.frame_capacity = 0; });
+  rejects([](ServeConfig& c) { c.decoder.decoder.bit_duration_us = TimeUs{}; });
+  rejects([](ServeConfig& c) {
+    c.decoder.decoder.bit_duration_us = TimeUs{-5'000};
+  });
+}
+
 TEST(CaptureService, OutOfOrderRecordRejectedBeforeRing) {
   // A record older than the session's last one used to pass submit() and
   // then abort the process in the streaming decoder's time-order

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <complex>
+
 #include "util/stats.h"
 
 namespace wb::wifi {
@@ -69,6 +72,43 @@ TEST(Nic, QuantisationGrid) {
   const auto rec = nic.measure(flat_channel(0.0101), TimeUs{}, 1, FrameKind::kData);
   const double steps = rec.csi[0][0] / 0.05;
   EXPECT_NEAR(steps, std::round(steps), 1e-9);
+}
+
+TEST(Nic, SqrtNormMatchesAbsOnceQuantised) {
+  // measure() takes |z| as sqrt(norm(z)), which can differ from std::abs
+  // by one ulp. Over 10^6 amplitudes across the simulator's range (up to
+  // 4x the reference, at any phase) the quantised CSI must be what
+  // std::abs gives. Noise and spurious events are off, so each reported
+  // value is the channel entry itself, scaled and quantised.
+  NicModelParams p = quiet_params();
+  p.csi_quant_step = NicModelParams{}.csi_quant_step;
+  ASSERT_GT(p.csi_quant_step, 0.0);
+  NicModel nic(p, sim::RngStream(8));
+  nic.calibrate(flat_channel(0.01));
+  const double ref = nic.reference_amplitude();
+  sim::RngStream draw(9);
+  std::size_t compared = 0;
+  std::size_t mismatches = 0;
+  while (compared < 1'000'000) {
+    phy::CsiMatrix h{};
+    for (auto& ant : h) {
+      for (auto& c : ant) {
+        c = std::polar(draw.uniform(0.0, 4.0) * ref,
+                       draw.uniform(-3.141592653589793, 3.141592653589793));
+      }
+    }
+    const auto rec = nic.measure(h, TimeUs{}, 1, FrameKind::kData);
+    for (std::size_t a = 0; a < phy::kNumAntennas; ++a) {
+      for (std::size_t s = 0; s < phy::kNumSubchannels; ++s) {
+        double amp = std::abs(h[a][s]) / ref * p.csi_scale;
+        amp *= 1.0;  // no spurious event
+        amp = std::round(amp / p.csi_quant_step) * p.csi_quant_step;
+        if (rec.csi[a][s] != amp) ++mismatches;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Nic, WeakAntennaReportsLowCsi) {
