@@ -91,7 +91,7 @@ void BM_PreambleCorrelation(benchmark::State& state) {
   const auto cfg = shared_decoder_config();
   const std::vector<double> tmpl = to_bipolar(cfg.preamble);
   const double need =
-      cfg.min_preamble_fill * static_cast<double>(tmpl.size());
+      reader::kMinPreambleFill * static_cast<double>(tmpl.size());
   reader::DecodeWorkspace ws;
   double score = 0.0;
   for (auto _ : state) {

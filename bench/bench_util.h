@@ -21,7 +21,7 @@
 
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "runner/thread_pool.h"
+#include "runner/indexed_for.h"
 #include "util/args.h"
 
 namespace wb::bench {

@@ -102,9 +102,9 @@ step_tsan() {
     -DWB_SANITIZE=thread -DWB_WERROR=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build "$TSAN_DIR" -j "$JOBS" \
-    --target test_runner_thread_pool test_runner_sweep test_obs_metrics \
+    --target test_runner_indexed_for test_runner_sweep test_obs_metrics \
              test_serve_service
-  "$TSAN_DIR/tests/test_runner_thread_pool"
+  "$TSAN_DIR/tests/test_runner_indexed_for"
   "$TSAN_DIR/tests/test_runner_sweep"
   "$TSAN_DIR/tests/test_obs_metrics"
   "$TSAN_DIR/tests/test_serve_service"

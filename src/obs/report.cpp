@@ -19,37 +19,6 @@ std::string value_json(const RunReport::Value& v) {
   return out;
 }
 
-// RFC 4180: a field containing a comma, quote, or line break must be
-// wrapped in quotes with inner quotes doubled; any other field may be
-// emitted bare. Used for row names and header keys — string VALUES are
-// always quoted (below) so a numeric-looking string round-trips as a
-// string.
-std::string csv_field(std::string_view text) {
-  const bool needs_quoting =
-      text.find_first_of(",\"\n\r") != std::string_view::npos;
-  if (!needs_quoting) return std::string(text);
-  std::string out = "\"";
-  for (const char c : text) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string value_csv(const RunReport::Value& v) {
-  if (const auto* d = std::get_if<double>(&v)) return json_number(*d);
-  if (const auto* b = std::get_if<bool>(&v)) return *b ? "true" : "false";
-  // CSV quoting: wrap in quotes, double any inner quote.
-  std::string out = "\"";
-  for (const char c : std::get<std::string>(v)) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 bool write_file(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
@@ -169,46 +138,8 @@ std::string RunReport::to_json() const {
   return out;
 }
 
-std::string RunReport::rows_csv() const {
-  // Header: union of field keys in first-seen order.
-  std::vector<std::string> keys;
-  for (const Row& row : rows_) {
-    for (const auto& [key, value] : row.fields()) {
-      bool known = false;
-      for (const auto& k : keys) {
-        if (k == key) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) keys.push_back(key);
-    }
-  }
-  std::string out = "row";
-  for (const auto& k : keys) out += "," + csv_field(k);
-  out += "\n";
-  for (const Row& row : rows_) {
-    out += csv_field(row.name());
-    for (const auto& k : keys) {
-      out += ",";
-      for (const auto& [key, value] : row.fields()) {
-        if (key == k) {
-          out += value_csv(value);
-          break;
-        }
-      }
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 bool RunReport::write_json(const std::string& path) const {
   return write_file(path, to_json());
-}
-
-bool RunReport::write_csv(const std::string& path) const {
-  return write_file(path, rows_csv());
 }
 
 }  // namespace wb::obs

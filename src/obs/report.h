@@ -9,8 +9,7 @@
 //   * metrics    — an optional MetricsRegistry snapshot (counters, gauges,
 //                  histogram percentiles) attached at the end of a run.
 //
-// JSON is the primary format (one self-describing object); rows can also
-// be exported as CSV for spreadsheet-style consumers.
+// The export format is JSON: one self-describing object.
 #pragma once
 
 #include <cstdint>
@@ -77,12 +76,7 @@ class RunReport {
 
   std::string to_json() const;
 
-  /// Rows as CSV: header is the union of field keys in first-seen order,
-  /// first column `row`. Strings are quoted; missing fields are empty.
-  std::string rows_csv() const;
-
   bool write_json(const std::string& path) const;
-  bool write_csv(const std::string& path) const;
 
  private:
   void set_meta_bool(std::string_view key, bool value);

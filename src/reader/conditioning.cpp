@@ -64,9 +64,8 @@ std::vector<double> remove_time_moving_average(
 
 namespace {
 
-// Shared body of the remove_time_moving_average_rows variants. When `mad`
-// is non-null it accumulates |out| per column alongside the centering
-// sweep (the fused-MAD overload); the accumulation reads each output
+// Body of remove_time_moving_average_rows: `mad` accumulates |out| per
+// column alongside the centering sweep; the accumulation reads each output
 // value the instant it is produced, in the same row order wb::mad_rows
 // would read the finished matrix, so the sums are bit-identical.
 WB_SIMD_MULTIVERSION
@@ -122,31 +121,15 @@ void movavg_rows_impl(std::span<const TimeUs> ts, std::span<const double> rows,
     const P nwin = P::broadcast(static_cast<double>(tail - head));
     const double* x = rows.data() + k * stride;
     double* o = out_rows.data() + k * stride;
-    if (mad != nullptr) {
-      for (std::size_t g = 0; g < stride; g += simd::kLanes) {
-        const P out = P::load(x + g) - P::load(sum_scratch.data() + g) / nwin;
-        out.store(o + g);
-        (P::load(mad + g) + P::abs(out)).store(mad + g);
-      }
-    } else {
-      for (std::size_t g = 0; g < stride; g += simd::kLanes) {
-        (P::load(x + g) - P::load(sum_scratch.data() + g) / nwin)
-            .store(o + g);
-      }
+    for (std::size_t g = 0; g < stride; g += simd::kLanes) {
+      const P out = P::load(x + g) - P::load(sum_scratch.data() + g) / nwin;
+      out.store(o + g);
+      (P::load(mad + g) + P::abs(out)).store(mad + g);
     }
   }
 }
 
 }  // namespace
-
-void remove_time_moving_average_rows(std::span<const TimeUs> ts,
-                                     std::span<const double> rows,
-                                     std::size_t stride, TimeUs window_us,
-                                     std::span<double> sum_scratch,
-                                     std::span<double> out_rows) {
-  movavg_rows_impl(ts, rows, stride, window_us, sum_scratch, out_rows,
-                   nullptr);
-}
 
 void remove_time_moving_average_rows(std::span<const TimeUs> ts,
                                      std::span<const double> rows,
@@ -184,7 +167,7 @@ namespace {
 
 // Transpose the conditioned [packet][lane] rows back to the
 // [stream][packet] vectors the decoders consume, dividing each column by
-// its MAD on the way out — normalize_mad_rows' divide pass fused into the
+// its MAD on the way out — normalize_mad's divide fused into the
 // transpose, one matrix pass instead of two. Each element still sees the
 // same single IEEE divide by the same mad_rows divisor, so the output is
 // bit-identical to normalize-then-copy. Reads are contiguous pack loads
@@ -291,8 +274,8 @@ void condition_into(const wifi::CaptureTrace& trace, MeasurementSource source,
     out.streams[s].resize(n);
   }
   if (n > 0) {
-    // Fused pipeline, bit-identical to remove_time_moving_average_rows +
-    // normalize_mad_rows + a plain transpose: the MAD divisors accumulate
+    // Fused pipeline, bit-identical to per-stream remove_time_moving_average
+    // + normalize_mad: the MAD divisors accumulate
     // inside the centering sweep (conditioning.h) and the divide rides the
     // transpose, so the matrix crosses memory twice instead of four times.
     remove_time_moving_average_rows(

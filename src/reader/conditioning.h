@@ -67,27 +67,20 @@ void remove_time_moving_average(std::span<const TimeUs> ts,
                                 std::span<const double> xs, TimeUs window_us,
                                 std::span<double> out);
 
-/// Stream-batched variant (DESIGN.md §15): `rows` is a row-major
-/// [packet][lane] matrix — ts.size() rows of `stride` lanes, `stride` a
-/// multiple of simd::kLanes — and every lane column is centered exactly as
-/// the span variant centers one series: the [t_k - w/2, t_k + w/2] window
-/// cursors are shared across columns (the timestamps are shared), the
-/// per-column window sums live in `sum_scratch` (size `stride`) and
-/// advance in the same add-tail-then-retire-head order. `out_rows` must
-/// not alias `rows` (window re-reads). Bit-identical per column to the
-/// span variant.
-void remove_time_moving_average_rows(std::span<const TimeUs> ts,
-                                     std::span<const double> rows,
-                                     std::size_t stride, TimeUs window_us,
-                                     std::span<double> sum_scratch,
-                                     std::span<double> out_rows);
-
-/// As above, plus wb::mad_rows' divisor pass fused into the output sweep:
-/// each centered row accumulates |out| per column as it is written (the
-/// same row order mad_rows reads in), and `mad_out` (size `stride`) gets
-/// the same fixed-up divisors mad_rows(out_rows, ...) would produce —
-/// bit-identical to calling the two kernels in sequence, one matrix read
-/// cheaper. `mad_out` must not alias the output or the window sums.
+/// Stream-batched variant (DESIGN.md §15) with wb::mad_rows' divisor
+/// pass fused in. `rows` is a row-major [packet][lane] matrix — ts.size()
+/// rows of `stride` lanes, `stride` a multiple of simd::kLanes — and every
+/// lane column is centered exactly as the span variant centers one series:
+/// the [t_k - w/2, t_k + w/2] window cursors are shared across columns
+/// (the timestamps are shared), the per-column window sums live in
+/// `sum_scratch` (size `stride`) and advance in the same
+/// add-tail-then-retire-head order. `out_rows` must not alias `rows`
+/// (window re-reads). Bit-identical per column to the span variant.
+/// Each centered row also accumulates |out| per column as it is written
+/// (the same row order mad_rows reads in), and `mad_out` (size `stride`)
+/// gets the same fixed-up divisors mad_rows(out_rows, ...) would produce,
+/// one matrix read cheaper. `mad_out` must not alias the output or the
+/// window sums.
 void remove_time_moving_average_rows(std::span<const TimeUs> ts,
                                      std::span<const double> rows,
                                      std::size_t stride, TimeUs window_us,

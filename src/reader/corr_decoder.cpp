@@ -31,7 +31,6 @@ CodedUplinkDecoder::CodedUplinkDecoder(CodedDecoderConfig cfg)
   WB_REQUIRE(!cfg_.preamble.empty());
   WB_REQUIRE(cfg_.chip_duration_us > TimeUs{});
   WB_REQUIRE(cfg_.num_good_streams > 0);
-  WB_REQUIRE(cfg_.min_fill >= 0.0 && cfg_.min_fill <= 1.0);
   WB_REQUIRE(!(cfg_.search_from && cfg_.search_to) ||
                  *cfg_.search_to >= *cfg_.search_from,
              "search window must satisfy search_to >= search_from — an "
@@ -120,74 +119,64 @@ void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
     return;
   }
 
-  // Winsorise against correlated outliers (see clip_sigma in the config)
-  // into the workspace copy; without clipping the input is used as-is.
-  // Vectorised elementwise (pack clamp matches std::clamp lane for lane);
-  // the clamp count is an exact integer however the lanes are summed, so
-  // the per-lane counters can be folded with one hsum.
-  const ConditionedTrace* ct = &ct_in;
-  if (cfg_.clip_sigma > 0.0) {
-    using P = simd::dpack;
-    const P lo = P::broadcast(-cfg_.clip_sigma);
-    const P hi = P::broadcast(cfg_.clip_sigma);
-    double clamped = 0.0;
-    std::size_t total = 0;
-    ws.clipped.timestamps.assign(ct_in.timestamps.begin(),
-                                 ct_in.timestamps.end());
-    ws.clipped.streams.resize(ct_in.streams.size());
-    for (std::size_t s = 0; s < ct_in.streams.size(); ++s) {
-      const auto& src = ct_in.streams[s];
-      auto& dst = ws.clipped.streams[s];
-      dst.resize(src.size());
-      const std::size_t main = src.size() - src.size() % simd::kLanes;
-      P cnt = P::zero();
-      for (std::size_t k = 0; k < main; k += simd::kLanes) {
-        const P v = P::load(src.data() + k);
-        P over;
-        for (std::size_t l = 0; l < simd::kLanes; ++l) {
-          over.lane[l] =
-              (v.lane[l] > cfg_.clip_sigma || v.lane[l] < -cfg_.clip_sigma)
-                  ? 1.0
-                  : 0.0;
-        }
-        cnt += over;
-        P::clamp(v, lo, hi).store(dst.data() + k);
+  // Winsorise against correlated outliers (see kClipSigma) into the
+  // workspace copy. Vectorised elementwise (pack clamp matches std::clamp
+  // lane for lane); the clamp count is an exact integer however the lanes
+  // are summed, so the per-lane counters can be folded with one hsum.
+  using P = simd::dpack;
+  const P lo = P::broadcast(-kClipSigma);
+  const P hi = P::broadcast(kClipSigma);
+  double clamped = 0.0;
+  std::size_t total = 0;
+  ws.clipped.timestamps.assign(ct_in.timestamps.begin(),
+                               ct_in.timestamps.end());
+  ws.clipped.streams.resize(ct_in.streams.size());
+  for (std::size_t s = 0; s < ct_in.streams.size(); ++s) {
+    const auto& src = ct_in.streams[s];
+    auto& dst = ws.clipped.streams[s];
+    dst.resize(src.size());
+    const std::size_t main = src.size() - src.size() % simd::kLanes;
+    P cnt = P::zero();
+    for (std::size_t k = 0; k < main; k += simd::kLanes) {
+      const P v = P::load(src.data() + k);
+      P over;
+      for (std::size_t l = 0; l < simd::kLanes; ++l) {
+        over.lane[l] =
+            (v.lane[l] > kClipSigma || v.lane[l] < -kClipSigma) ? 1.0 : 0.0;
       }
-      clamped += cnt.hsum();
-      for (std::size_t k = main; k < src.size(); ++k) {
-        if (src[k] > cfg_.clip_sigma || src[k] < -cfg_.clip_sigma) {
-          clamped += 1.0;
-        }
-        dst[k] = std::clamp(src[k], -cfg_.clip_sigma, cfg_.clip_sigma);
-      }
-      total += src.size();
+      cnt += over;
+      P::clamp(v, lo, hi).store(dst.data() + k);
     }
-    out.clipped_fraction =
-        total > 0 ? clamped / static_cast<double>(total) : 0.0;
-    ct = &ws.clipped;
+    clamped += cnt.hsum();
+    for (std::size_t k = main; k < src.size(); ++k) {
+      if (src[k] > kClipSigma || src[k] < -kClipSigma) clamped += 1.0;
+      dst[k] = std::clamp(src[k], -kClipSigma, kClipSigma);
+    }
+    total += src.size();
   }
+  out.clipped_fraction =
+      total > 0 ? clamped / static_cast<double>(total) : 0.0;
+  const ConditionedTrace& ct = ws.clipped;
 
-  const std::size_t g = std::min(cfg_.num_good_streams, ct->num_streams());
+  const std::size_t g = std::min(cfg_.num_good_streams, ct.num_streams());
 
   // --- Frame sync: the shared search kernel (slot_sync.h) against the
   // coded preamble ---
   const double need =
-      cfg_.min_fill * static_cast<double>(preamble_chips_bipolar_.size());
+      kMinChipFill * static_cast<double>(preamble_chips_bipolar_.size());
   TimeUs best_start{0};
   double best_score = -1.0;
   if (cfg_.known_start) {
     best_start = *cfg_.known_start;
   } else {
-    const TimeUs t0 = ct->timestamps.front();
-    const TimeUs t1 = ct->timestamps.back();
+    const TimeUs t0 = ct.timestamps.front();
+    const TimeUs t1 = ct.timestamps.back();
     const TimeUs from = cfg_.search_from.value_or(t0);
     const TimeUs to =
         std::max(from, cfg_.search_to.value_or(t1 - cfg_.frame_duration_us()));
-    const TimeUs step = std::max(cfg_.sync_step_us > TimeUs{}
-                                     ? cfg_.sync_step_us
-                                     : cfg_.chip_duration_us / 2,
-                                 TimeUs{1});
-    sync_search(*ct, preamble_chips_bipolar_, cfg_.chip_duration_us, need, g,
+    const TimeUs step =
+        std::max(cfg_.chip_duration_us / kSyncStepsPerChip, TimeUs{1});
+    sync_search(ct, preamble_chips_bipolar_, cfg_.chip_duration_us, need, g,
                 from, to, step, ws, [&](TimeUs tau, double score) {
                   // First-max-wins: the strict `>` keeps the *earliest*
                   // tau among equal peaks. Pinned by tests — see the
@@ -199,7 +188,7 @@ void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
                 });
   }
   // Probe the chosen start alone so ws.corrs/ws.order describe it.
-  sync_search(*ct, preamble_chips_bipolar_, cfg_.chip_duration_us, need, g,
+  sync_search(ct, preamble_chips_bipolar_, cfg_.chip_duration_us, need, g,
               best_start, best_start, cfg_.chip_duration_us, ws,
               [&best_score](TimeUs, double score) { best_score = score; });
 
@@ -229,21 +218,25 @@ void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
   const std::size_t l = cfg_.chips_per_bit();
   out.payload.assign(cfg_.payload_bits, 0);
   out.margin.assign(cfg_.payload_bits, 0.0);
-  // One shared slot map per chip block, reused by every selected stream
-  // (the map depends only on the timestamps).
+  // One set of chip edges per chip block, shared by every selected stream
+  // (the edges depend only on the timestamps).
+  const auto& edges = ws.sync_edges;
   for (std::size_t b = 0; b < cfg_.payload_bits; ++b) {
     const TimeUs block_start =
         best_start +
         cfg_.chip_duration_us *
             static_cast<std::int64_t>((cfg_.preamble.size() + b) * l);
-    bin_window_into(*ct, block_start, cfg_.chip_duration_us, l, ws);
+    slot_edges_into(ct.timestamps, block_start, cfg_.chip_duration_us, l,
+                    ws.sync_edges);
     double combined = 0.0;
     for (std::size_t i = 0; i < out.streams.size(); ++i) {
-      bin_stream_sums_into(*ct, out.streams[i], ws);
+      const double* xs = ct.streams[out.streams[i]].data();
       double diff = 0.0;  // corr(one) - corr(zero)
       for (std::size_t c = 0; c < l; ++c) {
-        if (ws.bin_count[c] == 0) continue;
-        diff += (ws.bin_sums[c] / static_cast<double>(ws.bin_count[c])) *
+        if (edges[c + 1] == edges[c]) continue;
+        double sum = 0.0;
+        for (std::size_t p = edges[c]; p < edges[c + 1]; ++p) sum += xs[p];
+        diff += (sum / static_cast<double>(edges[c + 1] - edges[c])) *
                 code_diff_bipolar_[c];
       }
       combined += out.weights[i] * out.polarity[i] * diff;

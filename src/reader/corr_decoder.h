@@ -26,6 +26,22 @@
 
 namespace wb::reader {
 
+/// Coded sync search grid: a candidate start every
+/// chip_duration / kSyncStepsPerChip.
+inline constexpr std::int64_t kSyncStepsPerChip = 2;
+
+/// Minimum fraction of the coded preamble's chip slots that must contain
+/// at least one packet for a sync candidate to be considered.
+inline constexpr double kMinChipFill = 0.5;
+
+/// Conditioned measurements are clamped to +-kClipSigma before
+/// correlating. The plain decoder's per-packet majority voting caps any
+/// one packet at one vote, but correlation is linear: a single spurious
+/// NIC snapshot (which hits every stream at once) would otherwise pass
+/// straight through and can flip a whole bit. Signal lives at +-1, so
+/// clamping at 3 costs nothing.
+inline constexpr double kClipSigma = 3.0;
+
 struct CodedDecoderConfig {
   MeasurementSource source = MeasurementSource::kCsi;
 
@@ -54,17 +70,6 @@ struct CodedDecoderConfig {
   /// rejects an inverted window instead of silently collapsing it.
   std::optional<TimeUs> search_from;
   std::optional<TimeUs> search_to;
-  TimeUs sync_step_us{0};  ///< 0 = chip_duration/2
-
-  double min_fill = 0.5;  ///< min fraction of filled chip slots
-
-  /// Conditioned measurements are clamped to +-clip_sigma before
-  /// correlating. The plain decoder's per-packet majority voting caps any
-  /// one packet at one vote, but correlation is linear: a single spurious
-  /// NIC snapshot (which hits every stream at once) would otherwise pass
-  /// straight through and can flip a whole bit. Signal lives at +-1, so
-  /// clamping at 3 costs nothing.
-  double clip_sigma = 3.0;
 
   std::size_t chips_per_bit() const { return codes.length(); }
   std::size_t frame_bits() const { return preamble.size() + payload_bits; }
@@ -85,7 +90,7 @@ struct CodedDecodeResult {
   std::vector<double> polarity;
   std::vector<double> weights;
   std::vector<double> margin;  ///< per bit: |corr1-corr0| combined
-  /// Fraction of samples the winsoriser clamped (0 when clipping is off).
+  /// Fraction of samples the winsoriser clamped to +-kClipSigma.
   double clipped_fraction = 0.0;
   /// Why the attempt failed; engaged exactly when !found.
   std::optional<obs::DropReason> drop_reason;

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "reader/conditioning.h"
@@ -45,19 +44,11 @@ struct DecodeWorkspace {
   // (bounded by the block, not by the search length or step).
   std::vector<double> sync_corrs;        ///< [candidate][stream] corrs
   std::vector<std::size_t> sync_filled;  ///< filled slots per candidate
-  std::vector<std::size_t> sync_edges;   ///< first packet of each slot
+  /// First packet of each slot (slot_edges_into): the search's grid, or
+  /// the coded decoder's current payload chip block.
+  std::vector<std::size_t> sync_edges;
   std::vector<double> sync_means;        ///< one stream's slot means
-
-  // One-window slot binning (bin_window_into): the timestamp→slot map and
-  // per-slot packet counts are shared by every stream of a window, so
-  // they are computed once per window.
-  std::vector<std::uint32_t> bin_slot_of;  ///< slot of each window packet
-  std::vector<std::uint32_t> bin_count;    ///< packets binned per slot
-  std::vector<double> bin_sums;            ///< per-slot sums of one stream
-  std::size_t bin_first = 0;   ///< trace index of the window's first packet
-  std::size_t bin_nslots = 0;  ///< slots in the prepared window
-  /// Slots with at least one packet: the prepared window's, or the
-  /// current sync_search candidate's.
+  /// Slots with at least one packet in the current sync_search candidate.
   std::size_t bin_filled = 0;
   std::vector<std::size_t> order;        ///< stream ranking scratch
   std::vector<std::size_t> best_streams; ///< selected streams of the best tau

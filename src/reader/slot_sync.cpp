@@ -8,39 +8,16 @@
 
 namespace wb::reader {
 
-void bin_window_into(const ConditionedTrace& ct, TimeUs start_us,
-                     TimeUs slot_us, std::size_t nslots, DecodeWorkspace& ws) {
+void slot_edges_into(const std::vector<TimeUs>& ts, TimeUs origin_us,
+                     TimeUs slot_us, std::size_t nslots,
+                     std::vector<std::size_t>& edges) {
   WB_REQUIRE(slot_us > TimeUs{}, "slot duration must be positive");
-  const auto& ts = ct.timestamps;
-  std::size_t k = lower_index(ts, start_us);
-  ws.bin_first = k;
-  ws.bin_nslots = nslots;
-  ws.bin_count.assign(nslots, 0);
-  const TimeUs end = start_us + slot_us * static_cast<std::int64_t>(nslots);
-  const std::size_t k_end = lower_index(ts, end);
-  ws.bin_slot_of.resize(k_end - k);
-  for (std::size_t j = 0; k < k_end; ++k, ++j) {
-    const auto slot =
-        static_cast<std::uint32_t>((ts[k] - start_us) / slot_us);
-    ws.bin_slot_of[j] = slot;
-    ++ws.bin_count[slot];
-  }
-  ws.bin_filled = 0;
-  for (const std::uint32_t c : ws.bin_count) {
-    if (c > 0) ++ws.bin_filled;
-  }
-}
-
-void bin_stream_sums_into(const ConditionedTrace& ct, std::size_t stream,
-                          DecodeWorkspace& ws) {
-  WB_REQUIRE(stream < ct.num_streams(), "stream index out of range");
-  WB_REQUIRE(ct.streams[stream].size() == ct.timestamps.size(),
-             "conditioned stream must cover every packet");
-  const auto& xs = ct.streams[stream];
-  ws.bin_sums.assign(ws.bin_nslots, 0.0);
-  const std::size_t k0 = ws.bin_first;
-  for (std::size_t j = 0; j < ws.bin_slot_of.size(); ++j) {
-    ws.bin_sums[ws.bin_slot_of[j]] += xs[k0 + j];
+  edges.resize(nslots + 1);
+  std::size_t k = lower_index(ts, origin_us);
+  for (std::size_t m = 0; m <= nslots; ++m) {
+    const TimeUs edge = origin_us + slot_us * static_cast<std::int64_t>(m);
+    while (k < ts.size() && ts[k] < edge) ++k;
+    edges[m] = k;
   }
 }
 
@@ -61,21 +38,14 @@ void correlate_group(const ConditionedTrace& ct, std::span<const double> tmpl,
                      std::size_t first, std::size_t members,
                      std::size_t stride, std::size_t shift,
                      DecodeWorkspace& ws) {
-  const auto& ts = ct.timestamps;
   const std::size_t nslots = tmpl.size();
   const std::size_t nstreams = ct.num_streams();
   const std::size_t grid = (members - 1) * shift + nslots;
 
   // Grid slot m holds packets [edges[m], edges[m + 1]): the packets a
-  // lone probe's binning puts in that slot, in the same order.
-  auto& edges = ws.sync_edges;
-  edges.resize(grid + 1);
-  std::size_t k = lower_index(ts, origin_us);
-  for (std::size_t m = 0; m <= grid; ++m) {
-    const TimeUs edge = origin_us + slot_us * static_cast<std::int64_t>(m);
-    while (k < ts.size() && ts[k] < edge) ++k;
-    edges[m] = k;
-  }
+  // lone probe's window puts in that slot, in the same order.
+  const auto& edges = ws.sync_edges;
+  slot_edges_into(ct.timestamps, origin_us, slot_us, grid, ws.sync_edges);
   const auto empty = [&edges](std::size_t m) {
     return edges[m + 1] == edges[m];
   };
@@ -94,8 +64,8 @@ void correlate_group(const ConditionedTrace& ct, std::span<const double> tmpl,
   means.resize(grid);
   for (std::size_t s = 0; s < nstreams; ++s) {
     if (any) {
-      // Each slot's sum is the packet-order chain from 0.0 that
-      // bin_stream_sums_into builds, divided once by its count.
+      // Each slot's sum is the packet-order chain from 0.0, divided once
+      // by its count.
       const double* xs = ct.streams[s].data();
       for (std::size_t m = 0; m < grid; ++m) {
         if (empty(m)) continue;

@@ -1,4 +1,4 @@
-// Frame sync's one slot-binning path and one search kernel (paper §3.2
+// The reader's one slot binner and one sync search kernel (paper §3.2
 // step 1, §3.4). The plain decoder, the coded decoder and the ACK
 // detector all find their known pattern the same way: at every candidate
 // start, bin each stream's packets into bit (or chip) slots by timestamp,
@@ -12,10 +12,10 @@
 // chain 0.0 + x0 + x1 + ... that a lone probe of one candidate computes,
 // so each candidate's result is bit-identical to probing it alone.
 //
-// bin_window_into / bin_stream_sums_into bin one window at a time: the
-// timestamp->slot map and per-slot counts once per window, then one
-// stream's per-slot sums in a single contiguous pass. The coded decoder's
-// payload correlation uses them per chip block.
+// slot_edges_into is the one binner: it finds each slot's first packet,
+// and a slot's mean is the sum of its packets in packet order, from 0.0,
+// divided once by their count. The search's grid bins on it, and so does
+// the coded decoder's payload correlation, once per chip block.
 #pragma once
 
 #include <algorithm>
@@ -37,16 +37,13 @@ inline std::size_t lower_index(const std::vector<TimeUs>& ts, TimeUs t_us) {
       std::lower_bound(ts.begin(), ts.end(), t_us) - ts.begin());
 }
 
-/// Prepare the shared slot map for [start, start + nslots*slot_us) into
-/// ws.bin_slot_of / ws.bin_count / ws.bin_first / ws.bin_nslots /
-/// ws.bin_filled.
-void bin_window_into(const ConditionedTrace& ct, TimeUs start_us,
-                     TimeUs slot_us, std::size_t nslots, DecodeWorkspace& ws);
-
-/// Per-slot sums of `stream` (into ws.bin_sums) over the window prepared
-/// by the last bin_window_into on `ws`.
-void bin_stream_sums_into(const ConditionedTrace& ct, std::size_t stream,
-                          DecodeWorkspace& ws);
+/// Bins the slots [origin + m*slot_us, origin + (m+1)*slot_us), m in
+/// [0, nslots), of the sorted timestamps `ts`: slot m holds the packets
+/// [edges[m], edges[m + 1]). Resizes `edges` to nslots + 1 (capacity is
+/// kept, so a warm vector does not allocate).
+void slot_edges_into(const std::vector<TimeUs>& ts, TimeUs origin_us,
+                     TimeUs slot_us, std::size_t nslots,
+                     std::vector<std::size_t>& edges);
 
 /// Candidates that sync_search bins and ranks in one pass. It bounds the
 /// search's workspace scratch whatever the search length and step:

@@ -26,11 +26,6 @@ UplinkDecoderConfig make_decoder_config(const StreamingDecoderConfig& cfg) {
 StreamingUplinkDecoder::StreamingUplinkDecoder(StreamingDecoderConfig cfg)
     : cfg_(std::move(cfg)), dec_(make_decoder_config(cfg_)) {}
 
-TimeUs StreamingUplinkDecoder::scan_interval() const {
-  if (cfg_.scan_interval_us > TimeUs{}) return cfg_.scan_interval_us;
-  return cfg_.decoder.frame_duration_us() / 2;
-}
-
 void StreamingUplinkDecoder::reset() {
   buffer_.clear();  // keeps capacity: the next session reuses the storage
   consumed_until_ = TimeUs{0};
@@ -86,7 +81,7 @@ std::size_t StreamingUplinkDecoder::push(const wifi::CaptureRecord& rec,
   if (now < next_scan_at_ || now - consumed_until_ < frame_dur) {
     return 0;
   }
-  next_scan_at_ = now + scan_interval();
+  next_scan_at_ = now + frame_dur / kScansPerFrame;
 
   const TimeUs search_to = now - frame_dur;
   if (search_to < consumed_until_) return 0;

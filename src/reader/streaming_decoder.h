@@ -9,12 +9,17 @@
 // no matter how long the reader runs.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "reader/uplink_decoder.h"
 #include "util/check.h"
 
 namespace wb::reader {
+
+/// Re-scan cadence: after a scan that found no frame, the next one waits
+/// for frame_duration / kScansPerFrame more air time.
+inline constexpr std::int64_t kScansPerFrame = 2;
 
 struct StreamingDecoderConfig {
   /// Frame format / decoding parameters. search_from/search_to are
@@ -28,10 +33,6 @@ struct StreamingDecoderConfig {
   /// most of the plain decoder's range; lower it when pairing with an
   /// outer CRC that discards false frames anyway.
   double sync_threshold = 0.6;
-
-  /// How far (in time) beyond one frame the buffer must extend before a
-  /// scan is attempted; also the re-scan cadence. 0 = half a frame.
-  TimeUs scan_interval_us{0};
 
   /// History retained behind the consumed point. Must cover the
   /// conditioning window (decoder.movavg_window_us) — a shorter history
@@ -87,8 +88,6 @@ class StreamingUplinkDecoder {
   const StreamingDecoderConfig& config() const { return cfg_; }
 
  private:
-  TimeUs scan_interval() const;
-
   /// One decode over [consumed_until_, search_to]; on success emits into
   /// `sink` and advances consumed_until_ past the frame.
   bool scan(TimeUs search_to_us, FrameSink& sink);

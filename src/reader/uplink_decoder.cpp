@@ -23,7 +23,6 @@ UplinkDecoder::UplinkDecoder(UplinkDecoderConfig cfg)
   WB_REQUIRE(cfg_.num_good_streams > 0);
   WB_REQUIRE(cfg_.movavg_window_us > TimeUs{});
   WB_REQUIRE(cfg_.hysteresis_sigma >= 0.0);
-  WB_REQUIRE(cfg_.min_preamble_fill >= 0.0 && cfg_.min_preamble_fill <= 1.0);
   WB_REQUIRE(!(cfg_.search_from && cfg_.search_to) ||
                  *cfg_.search_to >= *cfg_.search_from,
              "search window must satisfy search_to >= search_from — an "
@@ -50,15 +49,13 @@ bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
   // makes t1 - frame_duration precede `from`), where probing the single
   // offset `from` is the right degenerate search.
   to = std::max(to, from);
-  const TimeUs step = std::max(cfg_.sync_step_us > TimeUs{}
-                                   ? cfg_.sync_step_us
-                                   : cfg_.bit_duration_us / 4,
-                               TimeUs{1});
+  const TimeUs step =
+      std::max(cfg_.bit_duration_us / kSyncStepsPerBit, TimeUs{1});
 
   const std::size_t g =
       std::min(cfg_.num_good_streams, ct.num_streams());
-  const double need = cfg_.min_preamble_fill *
-                      static_cast<double>(preamble_bipolar_.size());
+  const double need =
+      kMinPreambleFill * static_cast<double>(preamble_bipolar_.size());
 
   bool has_best = false;
   TimeUs best_start{0};

@@ -38,6 +38,14 @@
 
 namespace wb::reader {
 
+/// Frame-start search grid: the sync search probes a candidate start every
+/// bit_duration / kSyncStepsPerBit.
+inline constexpr std::int64_t kSyncStepsPerBit = 4;
+
+/// Minimum fraction of preamble slots that must contain at least one
+/// packet for a sync candidate to be considered.
+inline constexpr double kMinPreambleFill = 0.6;
+
 struct UplinkDecoderConfig {
   /// Measurement the decoder runs on.
   MeasurementSource source = MeasurementSource::kCsi;
@@ -63,9 +71,6 @@ struct UplinkDecoderConfig {
   /// votes; a narrow band is kept for fidelity to §3.2.
   double hysteresis_sigma = 0.25;
 
-  /// Frame-start search grid step; 0 = bit_duration / 4.
-  TimeUs sync_step_us{0};
-
   /// Optional restriction of the frame-start search to [from, to]. When
   /// unset the whole trace is searched. Experiments that know roughly when
   /// the tag was queried narrow this for speed; the decoder still
@@ -74,10 +79,6 @@ struct UplinkDecoderConfig {
   /// of silently collapsing it to a single probe offset.
   std::optional<TimeUs> search_from;
   std::optional<TimeUs> search_to;
-
-  /// Minimum fraction of preamble slots that must contain at least one
-  /// packet for a sync candidate to be considered.
-  double min_preamble_fill = 0.6;
 
   /// Sync acceptance threshold: mean per-bit |correlation| of the best
   /// stream set must exceed this (normalised units; noise gives ~0.2).

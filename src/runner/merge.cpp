@@ -1,7 +1,5 @@
 #include "runner/merge.h"
 
-#include <variant>
-
 namespace wb::runner {
 
 std::size_t merge_metrics_in_order(
@@ -26,15 +24,6 @@ std::size_t merge_forensics_in_order(
     ++merged;
   }
   return merged;
-}
-
-void append_report_rows(obs::RunReport& dest, const obs::RunReport& src) {
-  for (const auto& row : src.rows()) {
-    auto& out = dest.add_row(row.name());
-    for (const auto& [key, value] : row.fields()) {
-      std::visit([&out, &key](const auto& v) { out.set(key, v); }, value);
-    }
-  }
 }
 
 }  // namespace wb::runner

@@ -16,7 +16,6 @@
 
 #include "obs/forensics.h"
 #include "obs/metrics.h"
-#include "obs/report.h"
 
 namespace wb::runner {
 
@@ -28,11 +27,6 @@ namespace wb::runner {
 std::size_t merge_metrics_in_order(
     obs::MetricsRegistry& dest,
     const std::vector<std::unique_ptr<obs::MetricsRegistry>>& parts);
-
-/// Appends every row of `src` to `dest`, preserving row order and field
-/// order (used by sweep drivers that build one report per task and emit a
-/// single grid-wide report).
-void append_report_rows(obs::RunReport& dest, const obs::RunReport& src);
 
 /// Merges per-task forensics sinks into `dest` in task-index order
 /// (counters are commutative sums; exemplars append in task order and

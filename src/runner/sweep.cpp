@@ -1,7 +1,6 @@
 #include "runner/sweep.h"
 
 #include "runner/indexed_for.h"
-#include "runner/thread_pool.h"
 
 namespace wb::runner {
 

@@ -4,9 +4,9 @@
 //   * derives each task's RNG seed with the splittable scheme in
 //     seed_derive.h (`seed = derive_seed(base_seed, task_index)`) so no
 //     task shares random state with another,
-//   * executes tasks on a work-stealing ThreadPool (or inline on the
-//     calling thread when threads == 1, preserving serial behaviour
-//     exactly — no pool, no extra threads),
+//   * executes tasks on for_each_index's fork-join threads (or inline on
+//     the calling thread when threads == 1, preserving serial behaviour
+//     exactly — no extra threads),
 //   * slots every result by task index and merges per-task
 //     obs::MetricsRegistry snapshots in ascending index order,
 // so the combined output is bit-identical to the serial run and
@@ -142,9 +142,9 @@ class SweepRunner {
   }
 
  private:
-  /// Non-template engine: executes task(0..num_tasks) on the pool (or
-  /// inline when threads() == 1), waits for completion, and rethrows the
-  /// lowest-index captured exception, if any.
+  /// Non-template engine: executes task(0..num_tasks) on worker threads
+  /// (or inline when threads() == 1), waits for completion, and rethrows
+  /// the lowest-index captured exception, if any.
   void run_indexed(std::size_t num_tasks,
                    const std::function<void(std::size_t)>& task);
 

@@ -285,7 +285,7 @@ void CaptureService::retire_forensics(std::uint32_t id,
     it->second->merge_from(sink);
     return;
   }
-  if (retired_.size() < cfg_.retired_forensics_cap) {
+  if (retired_.size() < kRetiredForensicsCap) {
     auto fresh =
         std::make_unique<obs::ForensicsSink>(cfg_.forensics_exemplar_cap);
     fresh->merge_from(sink);

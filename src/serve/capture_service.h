@@ -2,7 +2,7 @@
 // externally synchronised driver thread submits (session, record) pairs;
 // the service admits them through a preallocated IngestRing with an
 // explicit backpressure policy, routes them to per-session decoders, and
-// dispatches sessions — inline or across a deterministic worker pool —
+// dispatches sessions — inline or across deterministic worker threads —
 // with byte-identical outputs either way.
 //
 // Observability follows the repo's ledger discipline: every record
@@ -36,6 +36,11 @@
 
 namespace wb::serve {
 
+/// Detached sessions whose forensics sinks are retained individually;
+/// sinks beyond this merge into one overflow sink so churny workloads
+/// stay bounded.
+inline constexpr std::size_t kRetiredForensicsCap = 64;
+
 struct ServeConfig {
   /// Ingest ring slots (also the per-session staging bound).
   std::size_t ring_capacity = 256;
@@ -45,8 +50,8 @@ struct ServeConfig {
   std::size_t max_sessions = 8;
 
   /// Worker threads for session dispatch. <=1 dispatches inline (in
-  /// ascending session id order); more threads split sessions across a
-  /// pool with identical per-session results.
+  /// ascending session id order); more threads split sessions across
+  /// workers with identical per-session results.
   unsigned dispatch_threads = 1;
 
   /// Decoder configuration shared by every session.
@@ -57,11 +62,6 @@ struct ServeConfig {
 
   /// Exemplars per (stage, reason) in each session's forensics sink.
   std::size_t forensics_exemplar_cap = obs::ForensicsSink::kDefaultExemplarCap;
-
-  /// Detached sessions whose forensics sinks are retained individually;
-  /// sinks beyond this merge into one overflow sink so churny workloads
-  /// stay bounded.
-  std::size_t retired_forensics_cap = 64;
 };
 
 /// Checks a configuration before a CaptureService is built from it:

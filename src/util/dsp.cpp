@@ -9,60 +9,6 @@
 
 namespace wb {
 
-MovingAverage::MovingAverage(std::size_t window) : window_(window) {
-  WB_REQUIRE(window_ > 0, "window must be positive");
-}
-
-double MovingAverage::push(double x) {
-  buf_.push_back(x);
-  sum_ += x;
-  if (buf_.size() > window_) {
-    sum_ -= buf_.front();
-    buf_.pop_front();
-  }
-  return mean();
-}
-
-double MovingAverage::mean() const {
-  if (buf_.empty()) return 0.0;
-  return sum_ / static_cast<double>(buf_.size());
-}
-
-void MovingAverage::reset() {
-  buf_.clear();
-  sum_ = 0.0;
-}
-
-void remove_moving_average(std::span<const double> x, std::size_t window,
-                           std::span<double> out) {
-  WB_REQUIRE(window > 0, "window must be positive");
-  WB_REQUIRE(out.size() == x.size(), "output must cover every sample");
-  WB_REQUIRE(!detail::spans_overlap(x.data(), x.size(), out.data(),
-                                    out.size()),
-             "out must not alias x: the trailing window re-reads samples "
-             "the output would have overwritten");
-  // Subtract the average of the window *including* the current sample;
-  // with bit periods much shorter than the 400 ms window, the average
-  // tracks the environmental drift while the backscatter square wave
-  // integrates out. Same accumulation order as MovingAverage::push (add
-  // the new sample, then retire the oldest) so results are bit-identical
-  // to the allocating wrapper.
-  double sum = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sum += x[i];
-    if (i >= window) sum -= x[i - window];
-    const std::size_t n = std::min(i + 1, window);
-    out[i] = x[i] - sum / static_cast<double>(n);
-  }
-}
-
-std::vector<double> remove_moving_average(std::span<const double> x,
-                                          std::size_t window) {
-  std::vector<double> out(x.size());
-  remove_moving_average(x, window, out);
-  return out;
-}
-
 void normalize_mad(std::span<const double> x, std::span<double> out) {
   WB_REQUIRE(out.size() == x.size(), "output must cover every sample");
   WB_REQUIRE(out.data() == x.data() ||
@@ -125,73 +71,6 @@ void mad_rows(std::span<const double> rows, std::size_t stride,
   }
 }
 
-WB_SIMD_MULTIVERSION
-void normalize_mad_rows(std::span<const double> rows, std::size_t stride,
-                        std::size_t n_rows, std::span<double> mad_scratch,
-                        std::span<double> out_rows) {
-  WB_REQUIRE(out_rows.size() == rows.size(),
-             "output must cover every sample");
-  WB_REQUIRE(out_rows.data() == rows.data() ||
-                 !detail::spans_overlap(rows.data(), rows.size(),
-                                        out_rows.data(), out_rows.size()),
-             "out_rows must fully alias rows (in-place) or not overlap at "
-             "all");
-  WB_REQUIRE(!detail::spans_overlap(mad_scratch.data(), mad_scratch.size(),
-                                    out_rows.data(), out_rows.size()),
-             "mad scratch must not alias the output");
-  mad_rows(rows, stride, n_rows, mad_scratch);
-  if (n_rows == 0) return;
-  using P = simd::dpack;
-  // Elementwise divide (safe in place).
-  for (std::size_t k = 0; k < n_rows; ++k) {
-    const double* src = rows.data() + k * stride;
-    double* dst = out_rows.data() + k * stride;
-    for (std::size_t g = 0; g < stride; g += simd::kLanes) {
-      (P::load(src + g) / P::load(mad_scratch.data() + g)).store(dst + g);
-    }
-  }
-}
-
-void sliding_correlation(std::span<const double> x,
-                         std::span<const double> tmpl, std::span<double> out) {
-  WB_REQUIRE(!tmpl.empty() && x.size() >= tmpl.size(),
-             "series must be at least as long as the template");
-  const std::size_t n = x.size() - tmpl.size() + 1;
-  WB_REQUIRE(out.size() == n, "output must have x.size()-tmpl.size()+1 slots");
-  WB_REQUIRE(!detail::spans_overlap(x.data(), x.size(), out.data(),
-                                    out.size()) &&
-                 !detail::spans_overlap(tmpl.data(), tmpl.size(), out.data(),
-                                        out.size()),
-             "out must not alias x or tmpl: each output reads a window of "
-             "inputs that earlier outputs would have overwritten");
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < tmpl.size(); ++j) {
-      s += x[i + j] * tmpl[j];
-    }
-    out[i] = s;
-  }
-}
-
-std::vector<double> sliding_correlation(std::span<const double> x,
-                                        std::span<const double> tmpl) {
-  if (tmpl.empty() || x.size() < tmpl.size()) return {};
-  std::vector<double> out(x.size() - tmpl.size() + 1);
-  sliding_correlation(x, tmpl, out);
-  return out;
-}
-
-std::size_t argmax(std::span<const double> x) {
-  if (x.empty()) return 0;
-  return static_cast<std::size_t>(
-      std::distance(x.begin(), std::max_element(x.begin(), x.end())));
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  WB_REQUIRE(a.size() == b.size());
-  return std::inner_product(a.begin(), a.end(), b.begin(), 0.0);
-}
-
 double mean(std::span<const double> x) {
   if (x.empty()) return 0.0;
   return std::accumulate(x.begin(), x.end(), 0.0) /
@@ -207,22 +86,5 @@ double variance(std::span<const double> x) {
 }
 
 double stddev(std::span<const double> x) { return std::sqrt(variance(x)); }
-
-double pearson(std::span<const double> a, std::span<const double> b) {
-  WB_REQUIRE(a.size() == b.size());
-  if (a.size() < 2) return 0.0;
-  const double ma = mean(a);
-  const double mb = mean(b);
-  double sab = 0.0, saa = 0.0, sbb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double da = a[i] - ma;
-    const double db = b[i] - mb;
-    sab += da * db;
-    saa += da * da;
-    sbb += db * db;
-  }
-  if (saa <= 0.0 || sbb <= 0.0) return 0.0;
-  return sab / std::sqrt(saa * sbb);
-}
 
 }  // namespace wb

@@ -1,9 +1,8 @@
 // Signal-processing primitives used by the reader-side decoding pipeline:
-// moving averages, normalisation, and sliding correlation.
+// normalisation and sample statistics.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <span>
 #include <vector>
@@ -22,47 +21,6 @@ inline bool spans_overlap(const double* a, std::size_t an, const double* b,
 }
 }  // namespace detail
 
-/// Streaming moving average over a fixed-size window (used for the signal
-/// conditioning step of paper §3.2, which subtracts a 400 ms moving average
-/// from the channel measurements).
-///
-/// Until the window fills, the mean of the samples seen so far is returned,
-/// so the filter is usable from the first sample.
-class MovingAverage {
- public:
-  explicit MovingAverage(std::size_t window);
-
-  /// Push one sample; returns the current window mean.
-  double push(double x);
-
-  /// Current mean without pushing (0 when empty).
-  double mean() const;
-
-  std::size_t window() const { return window_; }
-  std::size_t size() const { return buf_.size(); }
-  bool full() const { return buf_.size() == window_; }
-  void reset();
-
- private:
-  std::size_t window_;
-  std::deque<double> buf_;
-  double sum_ = 0.0;
-};
-
-/// Subtract a trailing moving average (window `window`) from each sample,
-/// producing the zero-mean series the decoder thresholds. Offline variant
-/// of MovingAverage for batch decoding.
-std::vector<double> remove_moving_average(std::span<const double> x,
-                                          std::size_t window);
-
-/// Span-out variant of remove_moving_average for callers that own the
-/// output storage (the decode hot path reuses one buffer across calls).
-/// `out.size()` must equal `x.size()`; `out` must not alias `x` (the
-/// trailing window re-reads samples the output would have overwritten).
-/// Bit-identical to the allocating wrapper.
-void remove_moving_average(std::span<const double> x, std::size_t window,
-                           std::span<double> out);
-
 /// Normalise a zero-mean series so the mean absolute value becomes 1
 /// (paper §3.2 step 1: divide by the average of |x|). A series of all zeros
 /// is returned unchanged.
@@ -74,49 +32,18 @@ std::vector<double> normalize_mad(std::span<const double> x);
 /// elements it already overwrote. Bit-identical to the allocating wrapper.
 void normalize_mad(std::span<const double> x, std::span<double> out);
 
-/// Stream-batched normalize_mad over a row-major [row][lane] matrix
-/// (DESIGN.md §15): `rows` holds `n_rows` rows of `stride` lanes each, and
-/// every lane *column* is normalised independently, exactly as the span
-/// variant normalises one series — per column, |x| accumulates in row
-/// order and columns whose mean absolute value is <= 0 are copied
-/// unchanged (their divisor is 1.0, which is an exact copy). `stride`
-/// must be a multiple of simd::kLanes (callers pad; all-zero padding
-/// columns come back unchanged). `mad_scratch` must have `stride`
-/// elements. `out_rows` may fully alias `rows` (in-place) but must not
-/// partially overlap. Bit-identical per column to normalize_mad.
-void normalize_mad_rows(std::span<const double> rows, std::size_t stride,
-                        std::size_t n_rows, std::span<double> mad_scratch,
-                        std::span<double> out_rows);
-
-/// The divisor half of normalize_mad_rows on its own: writes each lane
-/// column's mean absolute value into `mad_out[c]`, with degenerate
-/// columns (mad <= 0) replaced by 1.0 so dividing by the result is
-/// always safe and an exact copy for all-zero columns. An empty matrix
-/// (n_rows == 0) makes every column degenerate: all divisors are 1.0. Accumulation is
-/// in row (= time) order per column, replaying the scalar normalize_mad
-/// chain. Callers that want to fuse the divide into a later pass (e.g.
-/// conditioning's transpose) use this; normalize_mad_rows is exactly
-/// mad_rows followed by the elementwise divide.
+/// Stream-batched normalize_mad divisors over a row-major [row][lane]
+/// matrix (DESIGN.md §15): `rows` holds `n_rows` rows of `stride` lanes
+/// each, `stride` a multiple of simd::kLanes (callers pad). Writes each
+/// lane column's mean absolute value into `mad_out[c]`, with degenerate
+/// columns (mad <= 0) replaced by 1.0 so dividing by the result is always
+/// safe and an exact copy for all-zero columns. An empty matrix
+/// (n_rows == 0) makes every column degenerate: all divisors are 1.0.
+/// Accumulation is in row (= time) order per column, replaying the scalar
+/// normalize_mad chain; conditioning fuses the divide into its transpose.
+/// `mad_out` must not alias `rows`.
 void mad_rows(std::span<const double> rows, std::size_t stride,
               std::size_t n_rows, std::span<double> mad_out);
-
-/// Sliding (valid-mode) correlation of a series against a bipolar template.
-/// out[i] = sum_j x[i+j] * tmpl[j]; out has size x.size()-tmpl.size()+1
-/// (empty if the template is longer than the series).
-std::vector<double> sliding_correlation(std::span<const double> x,
-                                        std::span<const double> tmpl);
-
-/// Span-out variant of sliding_correlation. `out.size()` must equal
-/// `x.size() - tmpl.size() + 1` (callers handle the empty case); `out`
-/// must not alias `x` or `tmpl`. Bit-identical to the allocating wrapper.
-void sliding_correlation(std::span<const double> x,
-                         std::span<const double> tmpl, std::span<double> out);
-
-/// Index of the maximum element (0 for an empty span).
-std::size_t argmax(std::span<const double> x);
-
-/// Inner product of two equal-length spans.
-double dot(std::span<const double> a, std::span<const double> b);
 
 /// Sample mean.
 double mean(std::span<const double> x);
@@ -126,9 +53,5 @@ double variance(std::span<const double> x);
 
 /// Sample standard deviation.
 double stddev(std::span<const double> x);
-
-/// Pearson correlation coefficient in [-1, 1]; 0 if either side has zero
-/// variance.
-double pearson(std::span<const double> a, std::span<const double> b);
 
 }  // namespace wb

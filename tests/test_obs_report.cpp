@@ -50,90 +50,12 @@ TEST(RunReport, JsonEscapesStringsInMetaAndRows) {
   EXPECT_EQ(json.find('\t'), std::string::npos);
 }
 
-TEST(RunReport, CsvUnionHeaderAndQuoting) {
-  RunReport report;
-  report.add_row("a").set("x", 1.0).set("name", "plain");
-  report.add_row("b").set("y", 2.0).set("name", "has \"quote\"");
-  const std::string csv = report.rows_csv();
-  // Header: first-seen order of the union of keys.
-  EXPECT_EQ(csv.substr(0, csv.find('\n')), "row,x,name,y");
-  EXPECT_NE(csv.find("a,1,\"plain\",\n"), std::string::npos);
-  EXPECT_NE(csv.find("b,,\"has \"\"quote\"\"\",2\n"), std::string::npos);
-}
-
-TEST(RunReport, CsvQuotesRowNamesAndKeysRfc4180) {
-  // A comma, quote, or newline in a row NAME or header KEY must be
-  // quoted (with inner quotes doubled), or the emitted CSV changes its
-  // column structure. Plain names stay bare (asserted by the test above).
-  RunReport report;
-  report.add_row("point,5cm").set("dist,cm", 5.0);
-  report.add_row("say \"hi\"").set("x", 1.0);
-  const std::string csv = report.rows_csv();
-  EXPECT_EQ(csv.substr(0, csv.find('\n')), "row,\"dist,cm\",x");
-  EXPECT_NE(csv.find("\"point,5cm\",5,\n"), std::string::npos);
-  EXPECT_NE(csv.find("\"say \"\"hi\"\"\",,1\n"), std::string::npos);
-}
-
-TEST(RunReport, CsvRoundTripsFieldsThroughNaiveRfc4180Parser) {
-  // Emit a report with every awkward character class, re-parse it with a
-  // by-the-book RFC 4180 reader, and require the original cell texts
-  // back. This is the regression surface for the quoting rules: if any
-  // emitter path stops quoting, the parsed shape changes.
-  RunReport report;
-  report.add_row("r,1").set("k\"q", "v1");
-  report.add_row("plain").set("k2", "with,comma").set(
-      "k3", "with \"quotes\" inside");
-  const std::string csv = report.rows_csv();
-
-  // Minimal RFC 4180 parser: quoted fields absorb commas/newlines,
-  // doubled quotes collapse.
-  std::vector<std::vector<std::string>> grid(1);
-  std::string cell;
-  bool quoted = false;
-  for (std::size_t i = 0; i < csv.size(); ++i) {
-    const char c = csv[i];
-    if (quoted) {
-      if (c == '"' && i + 1 < csv.size() && csv[i + 1] == '"') {
-        cell += '"';
-        ++i;
-      } else if (c == '"') {
-        quoted = false;
-      } else {
-        cell += c;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      grid.back().push_back(cell);
-      cell.clear();
-    } else if (c == '\n') {
-      grid.back().push_back(cell);
-      cell.clear();
-      grid.emplace_back();
-    } else {
-      cell += c;
-    }
-  }
-  ASSERT_EQ(grid.size(), 4u);  // header + 2 rows + trailing empty
-  const std::vector<std::string> header = {"row", "k\"q", "k2", "k3"};
-  EXPECT_EQ(grid[0], header);
-  const std::vector<std::string> row1 = {"r,1", "v1", "", ""};
-  EXPECT_EQ(grid[1], row1);
-  const std::vector<std::string> row2 = {"plain", "", "with,comma",
-                                         "with \"quotes\" inside"};
-  EXPECT_EQ(grid[2], row2);
-}
-
-TEST(RunReport, WriteJsonAndCsvFiles) {
+TEST(RunReport, WriteJsonFile) {
   RunReport report;
   report.add_row("r").set("v", 3.0);
-  const std::string dir = ::testing::TempDir();
-  const std::string jpath = dir + "wb_report_test.json";
-  const std::string cpath = dir + "wb_report_test.csv";
+  const std::string jpath = ::testing::TempDir() + "wb_report_test.json";
   EXPECT_TRUE(report.write_json(jpath));
-  EXPECT_TRUE(report.write_csv(cpath));
   std::remove(jpath.c_str());
-  std::remove(cpath.c_str());
   // Unwritable path reports failure instead of aborting.
   EXPECT_FALSE(report.write_json("/nonexistent-dir/x/y.json"));
 }

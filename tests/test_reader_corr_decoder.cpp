@@ -120,7 +120,7 @@ TEST(CodedDecoder, PreambleCorrelationPositiveAtStart) {
   DecodeWorkspace ws;
   double corr = 0.0;
   sync_search(syn.ct, tmpl, cfg.chip_duration_us,
-              cfg.min_fill * static_cast<double>(tmpl.size()), 1,
+              kMinChipFill * static_cast<double>(tmpl.size()), 1,
               syn.frame_start, syn.frame_start, cfg.chip_duration_us, ws,
               [&](TimeUs, double) { corr = ws.corrs[0]; });
   EXPECT_GT(corr, 0.5);

@@ -1,7 +1,9 @@
 // Oracle test for the sync search kernel: every candidate of a phase-grid
 // search must get exactly the correlations, ranking, score and fill that
 // probing it alone with the per-start kernel gives. The per-start kernel
-// is frozen below, binning included, as it stood before the grid.
+// is frozen below, binning included, as it stood before the grid. The
+// frozen binner is also the oracle for slot_edges_into, the one binner
+// that the grid and the coded decoder's payload loop share.
 #include "reader/slot_sync.h"
 
 #include <gtest/gtest.h>
@@ -310,6 +312,53 @@ TEST(SyncSearch, InvertedRangeVisitsNothing) {
   DecodeWorkspace ws;
   expect_matches_lone_probes(ct, tmpl, kNeed, 3, TimeUs{50'000},
                              TimeUs{49'999}, kSlot / 4, ws);
+}
+
+TEST(SlotEdges, MeansMatchFrozenBinnerBitForBit) {
+  // Per slot: the same packet count, and a mean (packet-order sum from
+  // 0.0, divided once by the count) with the same bits as the frozen
+  // binner's sums[c] / count[c]. Windows start before the first packet,
+  // inside bursts and gaps, and run past the last packet; one warm edge
+  // vector serves every window, as in the coded decoder's payload loop.
+  std::vector<std::size_t> edges;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto ct = bursty_trace(12, seed);
+    for (const TimeUs slot : {kSlot, TimeUs{1'249}, kSlot * 20}) {
+      for (const std::size_t nslots : {1u, 13u, 80u}) {
+        for (std::int64_t origin = -60'000; origin < 1'600'000;
+             origin += 37'337) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " slot " << slot.ticks()
+                       << " nslots " << nslots << " origin " << origin);
+          FrozenBins b;
+          frozen_bin_window(ct, TimeUs{origin}, slot, nslots, b);
+          slot_edges_into(ct.timestamps, TimeUs{origin}, slot, nslots,
+                          edges);
+          ASSERT_EQ(edges.size(), nslots + 1);
+          for (std::size_t c = 0; c < nslots; ++c) {
+            ASSERT_EQ(edges[c + 1] - edges[c], b.count[c]) << "slot " << c;
+          }
+          for (std::size_t s = 0; s < ct.num_streams(); ++s) {
+            frozen_bin_stream_sums(ct, s, b);
+            const auto& xs = ct.streams[s];
+            for (std::size_t c = 0; c < nslots; ++c) {
+              if (b.count[c] == 0) continue;
+              double sum = 0.0;
+              for (std::size_t p = edges[c]; p < edges[c + 1]; ++p) {
+                sum += xs[p];
+              }
+              const double mean =
+                  sum / static_cast<double>(edges[c + 1] - edges[c]);
+              const double want =
+                  b.sums[c] / static_cast<double>(b.count[c]);
+              EXPECT_EQ(bits_of(mean), bits_of(want))
+                  << "stream " << s << " slot " << c;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

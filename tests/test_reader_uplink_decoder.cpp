@@ -89,7 +89,7 @@ double preamble_corr(const ConditionedTrace& ct,
   DecodeWorkspace ws;
   double corr = 0.0;
   sync_search(ct, tmpl, cfg.bit_duration_us,
-              cfg.min_preamble_fill * static_cast<double>(tmpl.size()), 1,
+              kMinPreambleFill * static_cast<double>(tmpl.size()), 1,
               start, start, cfg.bit_duration_us, ws,
               [&](TimeUs, double) { corr = ws.corrs[stream]; });
   return corr;
@@ -106,34 +106,43 @@ std::optional<TimeUs> sync(const UplinkDecoder& dec,
   return start;
 }
 
+/// Mean of stream 0's packets in slot m of `edges`: their packet-order
+/// sum from 0.0, divided once by their count.
+double slot_mean(const ConditionedTrace& ct,
+                 const std::vector<std::size_t>& edges, std::size_t m) {
+  double sum = 0.0;
+  for (std::size_t p = edges[m]; p < edges[m + 1]; ++p) {
+    sum += ct.streams[0][p];
+  }
+  return sum / static_cast<double>(edges[m + 1] - edges[m]);
+}
+
 TEST(BinSlots, MeansAndCounts) {
   ConditionedTrace ct;
   ct.timestamps = {TimeUs{0},     TimeUs{100},   TimeUs{200},
                    TimeUs{1'000}, TimeUs{1'100}, TimeUs{2'500}};
   ct.streams = {{1.0, 2.0, 3.0, 10.0, 20.0, 7.0}};
-  DecodeWorkspace ws;
-  bin_window_into(ct, TimeUs{0}, TimeUs{1'000}, 3, ws);
-  bin_stream_sums_into(ct, 0, ws);
-  ASSERT_EQ(ws.bin_count.size(), 3u);
-  ASSERT_EQ(ws.bin_sums.size(), 3u);
-  EXPECT_EQ(ws.bin_filled, 3u);
-  EXPECT_EQ(ws.bin_count[0], 3u);
-  EXPECT_DOUBLE_EQ(ws.bin_sums[0] / ws.bin_count[0], 2.0);
-  EXPECT_EQ(ws.bin_count[1], 2u);
-  EXPECT_DOUBLE_EQ(ws.bin_sums[1] / ws.bin_count[1], 15.0);
-  EXPECT_EQ(ws.bin_count[2], 1u);
-  EXPECT_DOUBLE_EQ(ws.bin_sums[2] / ws.bin_count[2], 7.0);
+  std::vector<std::size_t> edges;
+  slot_edges_into(ct.timestamps, TimeUs{0}, TimeUs{1'000}, 3, edges);
+  ASSERT_EQ(edges.size(), 4u);
+  EXPECT_EQ(edges[1] - edges[0], 3u);
+  EXPECT_DOUBLE_EQ(slot_mean(ct, edges, 0), 2.0);
+  EXPECT_EQ(edges[2] - edges[1], 2u);
+  EXPECT_DOUBLE_EQ(slot_mean(ct, edges, 1), 15.0);
+  EXPECT_EQ(edges[3] - edges[2], 1u);
+  EXPECT_DOUBLE_EQ(slot_mean(ct, edges, 2), 7.0);
 }
 
 TEST(BinSlots, IgnoresPacketsOutsideRange) {
   ConditionedTrace ct;
   ct.timestamps = {TimeUs{-500}, TimeUs{0}, TimeUs{500}, TimeUs{5'000}};
   ct.streams = {{100.0, 1.0, 2.0, 100.0}};
-  DecodeWorkspace ws;
-  bin_window_into(ct, TimeUs{0}, TimeUs{1'000}, 1, ws);
-  bin_stream_sums_into(ct, 0, ws);
-  EXPECT_EQ(ws.bin_count[0], 2u);
-  EXPECT_DOUBLE_EQ(ws.bin_sums[0] / ws.bin_count[0], 1.5);
+  std::vector<std::size_t> edges;
+  slot_edges_into(ct.timestamps, TimeUs{0}, TimeUs{1'000}, 1, edges);
+  ASSERT_EQ(edges.size(), 2u);
+  EXPECT_EQ(edges[0], 1u);
+  EXPECT_EQ(edges[1], 3u);
+  EXPECT_DOUBLE_EQ(slot_mean(ct, edges, 0), 1.5);
 }
 
 TEST(UplinkDecoder, PreambleCorrelationPeaksAtTrueStart) {

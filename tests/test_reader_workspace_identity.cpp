@@ -4,6 +4,8 @@
 // field of every result must compare EXACTLY equal (==, not NEAR), and a
 // workspace reused across traces of different shapes must leave no stale
 // state behind.
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "core/uplink_sim.h"
@@ -139,13 +141,13 @@ TEST(WorkspaceIdentity, UplinkDecodeMatchesAcrossReuse) {
 }
 
 TEST(WorkspaceIdentity, CodedDecodeMatchesAcrossReuse) {
-  // Coded frames: 8-chip codes, 6 payload bits, known start. Exercise
-  // both the winsorised (clip_sigma > 0) and unclipped paths.
+  // Coded frames: 8-chip codes, 6 payload bits. Alternate the known-start
+  // probe and the full sync search, so each decode finds scratch shaped
+  // by the other.
   CodedDecoderConfig cfg;
   cfg.codes = make_orthogonal_pair(8);
   cfg.payload_bits = 6;
   cfg.chip_duration_us = TimeUs{5'000};
-  cfg.known_start = TimeUs{300'000};
 
   const auto frame_chips =
       cfg.chip_duration_us * static_cast<std::int64_t>(cfg.frame_chips());
@@ -174,8 +176,9 @@ TEST(WorkspaceIdentity, CodedDecodeMatchesAcrossReuse) {
 
   DecodeWorkspace ws;
   CodedDecodeResult out;
-  for (const double clip : {3.0, 0.0, 3.0}) {
-    cfg.clip_sigma = clip;
+  for (const bool known : {true, false, true}) {
+    cfg.known_start =
+        known ? std::optional<TimeUs>(TimeUs{300'000}) : std::nullopt;
     const CodedUplinkDecoder dec(cfg);
     const auto reference = dec.decode(trace);
     EXPECT_TRUE(reference.found);

@@ -11,8 +11,8 @@
 
 #include "core/experiments.h"
 #include "obs/report.h"
+#include "runner/indexed_for.h"
 #include "runner/seed_derive.h"
-#include "runner/thread_pool.h"
 #include "sim/rng.h"
 
 namespace wb::runner {

@@ -1,8 +1,8 @@
 #include "util/dsp.h"
 
 #include <cmath>
-#include <numbers>
 #include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,54 +10,6 @@
 
 namespace wb {
 namespace {
-
-TEST(MovingAverage, MeanOfPartialWindow) {
-  MovingAverage ma(4);
-  EXPECT_DOUBLE_EQ(ma.push(2.0), 2.0);
-  EXPECT_DOUBLE_EQ(ma.push(4.0), 3.0);
-  EXPECT_FALSE(ma.full());
-}
-
-TEST(MovingAverage, SlidesOverWindow) {
-  MovingAverage ma(2);
-  ma.push(1.0);
-  ma.push(3.0);
-  EXPECT_TRUE(ma.full());
-  EXPECT_DOUBLE_EQ(ma.push(5.0), 4.0);  // window = {3, 5}
-}
-
-TEST(MovingAverage, ResetClears) {
-  MovingAverage ma(3);
-  ma.push(10.0);
-  ma.reset();
-  EXPECT_EQ(ma.size(), 0u);
-  EXPECT_DOUBLE_EQ(ma.mean(), 0.0);
-}
-
-TEST(MovingAverage, ConstantInputYieldsConstantMean) {
-  MovingAverage ma(8);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_DOUBLE_EQ(ma.push(7.5), 7.5);
-  }
-}
-
-TEST(RemoveMovingAverage, RemovesDcOffset) {
-  std::vector<double> x(100, 3.0);
-  const auto y = remove_moving_average(x, 10);
-  for (double v : y) EXPECT_NEAR(v, 0.0, 1e-12);
-}
-
-TEST(RemoveMovingAverage, PreservesFastSquareWave) {
-  // A +-1 square wave with period << window survives (attenuated but with
-  // correct signs) while its DC offset is removed.
-  std::vector<double> x;
-  for (int i = 0; i < 200; ++i) x.push_back(10.0 + ((i / 2) % 2 ? 1.0 : -1.0));
-  const auto y = remove_moving_average(x, 40);
-  for (std::size_t i = 50; i < y.size(); ++i) {
-    const double expected_sign = ((i / 2) % 2 ? 1.0 : -1.0);
-    EXPECT_GT(y[i] * expected_sign, 0.0) << i;
-  }
-}
 
 TEST(NormalizeMad, UnitMeanAbsolute) {
   const std::vector<double> x = {1.0, -3.0, 2.0, -2.0};
@@ -82,29 +34,6 @@ TEST(NormalizeMad, PreservesSignPattern) {
   EXPECT_GT(y[2], 0.0);
 }
 
-TEST(SlidingCorrelation, PeaksAtAlignment) {
-  const std::vector<double> tmpl = {1.0, -1.0, 1.0};
-  std::vector<double> x(20, 0.0);
-  x[7] = 1.0;
-  x[8] = -1.0;
-  x[9] = 1.0;
-  const auto corr = sliding_correlation(x, tmpl);
-  EXPECT_EQ(argmax(corr), 7u);
-  EXPECT_DOUBLE_EQ(corr[7], 3.0);
-}
-
-TEST(SlidingCorrelation, EmptyWhenTemplateTooLong) {
-  const std::vector<double> x = {1.0, 2.0};
-  const std::vector<double> tmpl = {1.0, 1.0, 1.0};
-  EXPECT_TRUE(sliding_correlation(x, tmpl).empty());
-}
-
-TEST(SlidingCorrelation, OutputSize) {
-  const std::vector<double> x(10, 1.0);
-  const std::vector<double> tmpl(4, 1.0);
-  EXPECT_EQ(sliding_correlation(x, tmpl).size(), 7u);
-}
-
 TEST(Dsp, MeanVarianceStddev) {
   const std::vector<double> x = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   EXPECT_DOUBLE_EQ(mean(x), 5.0);
@@ -117,68 +46,18 @@ TEST(Dsp, VarianceOfSingletonIsZero) {
   EXPECT_DOUBLE_EQ(variance(x), 0.0);
 }
 
-TEST(Dsp, DotProduct) {
-  const std::vector<double> a = {1.0, 2.0, 3.0};
-  const std::vector<double> b = {4.0, -5.0, 6.0};
-  EXPECT_DOUBLE_EQ(dot(a, b), 12.0);
-}
-
-TEST(Dsp, PearsonPerfectCorrelation) {
-  const std::vector<double> a = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> b = {2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(pearson(a, b), 1.0, 1e-12);
-  std::vector<double> c = b;
-  for (double& v : c) v = -v;
-  EXPECT_NEAR(pearson(a, c), -1.0, 1e-12);
-}
-
-TEST(Dsp, PearsonZeroVarianceIsZero) {
-  const std::vector<double> a = {1.0, 1.0, 1.0};
-  const std::vector<double> b = {1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(pearson(a, b), 0.0);
-}
-
-TEST(Dsp, ArgmaxEmptyIsZero) { EXPECT_EQ(argmax({}), 0u); }
-
-TEST(RemoveMovingAverage, SinusoidalDriftSuppressed) {
-  // Slow sinusoid (period 10x the window) is strongly attenuated.
-  std::vector<double> x;
-  const std::size_t n = 1'000;
-  for (std::size_t i = 0; i < n; ++i) {
-    x.push_back(std::sin(2.0 * std::numbers::pi * static_cast<double>(i) /
-                         1'000.0));
-  }
-  const auto y = remove_moving_average(x, 100);
-  double max_abs = 0.0;
-  for (std::size_t i = 100; i < n; ++i) {
-    max_abs = std::max(max_abs, std::abs(y[i]));
-  }
-  EXPECT_LT(max_abs, 0.45);  // raw amplitude was 1.0
-}
-
 TEST(SpanVariants, BitIdenticalToAllocatingWrappers) {
-  // The span-out overloads promise the exact same arithmetic in the same
-  // order as the allocating wrappers (DESIGN.md §10) — compare EXACTLY.
+  // The span-out overload promises the exact same arithmetic in the same
+  // order as the allocating wrapper (DESIGN.md §10) — compare EXACTLY.
   std::vector<double> xs;
   for (int i = 0; i < 500; ++i) {
     xs.push_back(std::sin(0.37 * i) * (1.0 + 0.01 * i));
   }
-  const std::vector<double> tmpl = {1.0, -1.0, 1.0, 1.0, -1.0};
-
-  const auto rm_ref = remove_moving_average(xs, 32);
-  std::vector<double> rm_out(xs.size(), -99.0);
-  remove_moving_average(xs, 32, rm_out);
-  EXPECT_EQ(rm_ref, rm_out);
 
   const auto nm_ref = normalize_mad(xs);
   std::vector<double> nm_out(xs.size(), -99.0);
   normalize_mad(xs, nm_out);
   EXPECT_EQ(nm_ref, nm_out);
-
-  const auto sc_ref = sliding_correlation(xs, tmpl);
-  std::vector<double> sc_out(sc_ref.size(), -99.0);
-  sliding_correlation(xs, tmpl, sc_out);
-  EXPECT_EQ(sc_ref, sc_out);
 }
 
 TEST(SpanVariants, NormalizeMadMayAliasItsInput) {
@@ -189,33 +68,16 @@ TEST(SpanVariants, NormalizeMadMayAliasItsInput) {
 }
 
 TEST(SpanVariants, AliasingInputAndOutputIsRejected) {
-  // The span-out kernels document their aliasing contracts; under the
+  // The span-out normalize_mad documents its aliasing contract; under the
   // throwing policy a violation must surface as ContractViolation, not as
   // silently wrong numbers.
   ScopedContractPolicy guard(ContractPolicy::kThrow);
   std::vector<double> xs(16, 1.0);
-  const std::vector<double> tmpl = {1.0, -1.0, 1.0};
-
-  // remove_moving_average: any overlap is banned (trailing window
-  // re-reads behind the cursor).
-  EXPECT_THROW(remove_moving_average(xs, 4, xs), ContractViolation);
-  EXPECT_THROW(
-      remove_moving_average(std::span<const double>(xs.data(), 8), 4,
-                            std::span<double>(xs.data() + 4, 8)),
-      ContractViolation);
 
   // normalize_mad: full alias is fine (tested above), partial is not.
   EXPECT_THROW(
       normalize_mad(std::span<const double>(xs.data(), 8),
                     std::span<double>(xs.data() + 4, 8)),
-      ContractViolation);
-
-  // sliding_correlation: output may alias neither input.
-  std::vector<double> corr(xs.size() - tmpl.size() + 1, 0.0);
-  EXPECT_THROW(
-      sliding_correlation(std::span<const double>(xs),
-                          std::span<const double>(tmpl),
-                          std::span<double>(xs.data(), corr.size())),
       ContractViolation);
 }
 
@@ -259,41 +121,11 @@ TEST(RowsKernels, MadRowsMatchesPerColumnScalar) {
   }
 }
 
-TEST(RowsKernels, NormalizeMadRowsMatchesPerColumnSpanKernel) {
-  const std::size_t stride = 8;
-  for (const std::size_t n_rows : {1u, 5u, 37u}) {
-    const auto rows = make_rows(n_rows, stride);
-    std::vector<double> out(rows.size(), -99.0), mads(stride);
-    normalize_mad_rows(rows, stride, n_rows, mads, out);
-    for (std::size_t c = 0; c < stride; ++c) {
-      std::vector<double> col(n_rows), want(n_rows);
-      for (std::size_t r = 0; r < n_rows; ++r) col[r] = rows[r * stride + c];
-      normalize_mad(col, want);
-      for (std::size_t r = 0; r < n_rows; ++r) {
-        EXPECT_EQ(out[r * stride + c], want[r]) << "col " << c << " row " << r;
-      }
-    }
-    // Padding column (all zeros) is copied unchanged.
-    for (std::size_t r = 0; r < n_rows; ++r) {
-      EXPECT_EQ(out[r * stride + stride - 1], 0.0);
-    }
-  }
-}
-
-TEST(RowsKernels, NormalizeMadRowsInPlaceMatchesOutOfPlace) {
-  const std::size_t stride = 8, n_rows = 21;
-  auto rows = make_rows(n_rows, stride);
-  std::vector<double> want(rows.size()), mads(stride);
-  normalize_mad_rows(rows, stride, n_rows, mads, want);
-  normalize_mad_rows(rows, stride, n_rows, mads, rows);  // full alias
-  EXPECT_EQ(rows, want);
-}
-
 TEST(RowsKernels, ContractViolationsAreRejected) {
   ScopedContractPolicy guard(ContractPolicy::kThrow);
   const std::size_t stride = 8, n_rows = 4;
   auto rows = make_rows(n_rows, stride);
-  std::vector<double> out(rows.size()), mads(stride);
+  std::vector<double> mads(stride);
 
   // Stride not a multiple of the pack width.
   EXPECT_THROW(mad_rows(rows, 7, n_rows, mads), ContractViolation);
@@ -308,16 +140,6 @@ TEST(RowsKernels, ContractViolationsAreRejected) {
   EXPECT_THROW(mad_rows(rows, stride, n_rows,
                         std::span<double>(rows.data(), stride)),
                ContractViolation);
-  // Partial overlap of the normalised output with the input.
-  EXPECT_THROW(
-      normalize_mad_rows(std::span<const double>(rows.data(), 2 * stride),
-                         stride, 2, mads,
-                         std::span<double>(rows.data() + stride, 2 * stride)),
-      ContractViolation);
-  // Scratch aliasing the output.
-  EXPECT_THROW(normalize_mad_rows(rows, stride, n_rows,
-                                  std::span<double>(out.data(), stride), out),
-               ContractViolation);
 }
 
 TEST(RowsKernels, EmptyMatrixYieldsSafeDivisors) {
@@ -326,9 +148,6 @@ TEST(RowsKernels, EmptyMatrixYieldsSafeDivisors) {
   // Every column of an empty matrix is degenerate — the safe divisor,
   // never stale or zero values a caller could divide by.
   for (double v : mads) EXPECT_EQ(v, 1.0);
-  // normalize_mad_rows on the empty matrix writes nothing and survives.
-  normalize_mad_rows(std::span<const double>(), 8, 0, mads,
-                     std::span<double>());
 }
 
 }  // namespace

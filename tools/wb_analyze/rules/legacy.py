@@ -128,7 +128,7 @@ class NoRawThread(Rule):
             ctx.report(self, f, line_of(f.code, m.start()),
                        f"std::{m.group(1)} outside src/runner/ bypasses the "
                        "deterministic sweep API; use "
-                       "wb::runner::SweepRunner (or ThreadPool)")
+                       "wb::runner::SweepRunner (or for_each_index)")
 
 
 @register
