@@ -75,6 +75,23 @@ namespace {
 
 using namespace wb;
 
+/// Why an uplink operating point cannot run, or nullptr. The decoder's
+/// contracts abort on a bit duration under 1 us, so the flags that set it
+/// are checked here and rejected as usage errors; the upper bound keeps
+/// the bit (and the frame) well inside TimeUs's int64 range.
+const char* uplink_params_error(const core::UplinkExperimentParams& p) {
+  if (!(p.tag_reader_distance_m.value() >= 0.0)) {
+    return "the tag-reader distance must be non-negative";
+  }
+  if (!(p.packets_per_bit > 0.0)) return "--pkts-per-bit must be positive";
+  if (!(p.helper_pps > 0.0)) return "--helper-pps must be positive";
+  const double bit_us = 1e6 * p.packets_per_bit / p.helper_pps;
+  if (!(bit_us >= 1.0 && bit_us <= 1e12)) {
+    return "--pkts-per-bit / --helper-pps must give a bit of 1 us to 1e12 us";
+  }
+  return nullptr;
+}
+
 int run_uplink(const util::Args& args) {
   core::UplinkExperimentParams p;
   p.tag_reader_distance_m = Meters{args.num("--distance", 0.3)};
@@ -84,6 +101,10 @@ int run_uplink(const util::Args& args) {
   p.seed = args.u64("--seed", 1);
   if (args.flag("--rssi")) {
     p.source = reader::MeasurementSource::kRssi;
+  }
+  if (const char* err = uplink_params_error(p)) {
+    std::fprintf(stderr, "uplink: %s\n", err);
+    return 2;
   }
   const auto m = core::measure_uplink_ber(p);
   std::printf("uplink %s @ %.0f cm, %.0f pkt/bit, helper %.0f pkt/s\n",
@@ -256,6 +277,12 @@ int run_sweep(const util::Args& args) {
   if (grid.empty()) {
     std::fprintf(stderr, "sweep grid is empty\n");
     return 2;
+  }
+  for (const auto& pt : grid) {
+    if (const char* err = uplink_params_error(pt.params)) {
+      std::fprintf(stderr, "sweep: %s\n", err);
+      return 2;
+    }
   }
 
   runner::SweepConfig cfg;

@@ -1,8 +1,6 @@
 #include "reader/conditioning.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 
 #include "obs/forensics.h"
 #include "obs/metrics.h"
@@ -64,112 +62,174 @@ std::vector<double> remove_time_moving_average(
 
 namespace {
 
-// Body of remove_time_moving_average_rows: `mad` accumulates |out| per
-// column alongside the centering sweep; the accumulation reads each output
-// value the instant it is produced, in the same row order wb::mad_rows
-// would read the finished matrix, so the sums are bit-identical.
-WB_SIMD_MULTIVERSION
-void movavg_rows_impl(std::span<const TimeUs> ts, std::span<const double> rows,
-                      std::size_t stride, TimeUs window_us,
-                      std::span<double> sum_scratch,
-                      std::span<double> out_rows, double* mad) {
-  WB_REQUIRE(stride > 0 && stride % simd::kLanes == 0,
-             "row stride must be a positive multiple of the pack width");
-  WB_REQUIRE(rows.size() == ts.size() * stride,
-             "rows must hold one stride-wide row per timestamp");
-  WB_REQUIRE(out_rows.size() == rows.size(),
-             "output must cover every sample");
-  WB_REQUIRE(sum_scratch.size() == stride,
-             "window-sum scratch needs one accumulator per lane column");
-  WB_REQUIRE(!detail::spans_overlap(rows.data(), rows.size(),
-                                    out_rows.data(), out_rows.size()),
-             "out_rows must not alias rows: the sliding window re-reads "
-             "samples behind the cursor");
-  WB_REQUIRE(!detail::spans_overlap(sum_scratch.data(), sum_scratch.size(),
-                                    out_rows.data(), out_rows.size()),
-             "window-sum scratch must not alias the output");
-  WB_REQUIRE(window_us > TimeUs{},
-             "moving-average window must be positive");
-  WB_REQUIRE(std::is_sorted(ts.begin(), ts.end()),
-             "capture timestamps must be non-decreasing");
+// The in-place centering kernel (DESIGN.md §15). One record's
+// measurements sit in `kCount` arrays of `kWidth` doubles (CSI: one per
+// antenna; RSSI: the antenna array), and array a feeds lanes
+// [a * kWidth, (a + 1) * kWidth) of a stride-wide row. The kernel walks
+// each array on its own: pack loads stop at the array's last whole pack
+// and the rest go one lane at a time, so no pointer ever runs past the
+// array it started in. A scalar lane runs the same IEEE operation a pack
+// lane would, so the split does not change a bit.
+struct CsiLanes {
+  static constexpr std::size_t kCount = phy::kNumAntennas;
+  static constexpr std::size_t kWidth = phy::kNumSubchannels;
+  static const double* at(const wifi::CaptureRecord& r, std::size_t a) {
+    return r.csi[a].data();
+  }
+};
+struct RssiLanes {
+  static constexpr std::size_t kCount = 1;
+  static constexpr std::size_t kWidth = phy::kNumAntennas;
+  static const double* at(const wifi::CaptureRecord& r, std::size_t) {
+    return r.rssi_dbm.data();
+  }
+};
+
+/// sums[lane] += x (kAdd) or -= x, one record's lanes.
+template <class Lanes, bool kAdd>
+WB_SIMD_INLINE void slide(const wifi::CaptureRecord& r, double* sums) {
   using P = simd::dpack;
-  const TimeUs half = window_us / 2;
-  const std::size_t n = ts.size();
-  std::size_t head = 0;  // first row inside [t_k - half, t_k + half]
-  std::size_t tail = 0;  // one past the last row inside
-  for (double& s : sum_scratch) s = 0.0;
+  constexpr std::size_t kMain = Lanes::kWidth - Lanes::kWidth % simd::kLanes;
+  for (std::size_t a = 0; a < Lanes::kCount; ++a) {
+    const double* x = Lanes::at(r, a);
+    double* s = sums + a * Lanes::kWidth;
+    for (std::size_t i = 0; i < kMain; i += simd::kLanes) {
+      const P v = kAdd ? P::load(s + i) + P::load(x + i)
+                       : P::load(s + i) - P::load(x + i);
+      v.store(s + i);
+    }
+    for (std::size_t i = kMain; i < Lanes::kWidth; ++i) {
+      s[i] = kAdd ? s[i] + x[i] : s[i] - x[i];
+    }
+  }
+}
+
+/// Centers one record against the window sums: out = x - sum / nwin per
+/// lane, |out| added to `mad`, and (kStore) out written to `row`, whose
+/// padding lanes up to `stride` are zeroed.
+template <class Lanes, bool kStore>
+WB_SIMD_INLINE void center(const wifi::CaptureRecord& r, const double* sums,
+                           double nwin, double* mad, double* row,
+                           std::size_t stride) {
+  using P = simd::dpack;
+  constexpr std::size_t kMain = Lanes::kWidth - Lanes::kWidth % simd::kLanes;
+  const P nw = P::broadcast(nwin);
+  for (std::size_t a = 0; a < Lanes::kCount; ++a) {
+    const double* x = Lanes::at(r, a);
+    const std::size_t c = a * Lanes::kWidth;
+    for (std::size_t i = 0; i < kMain; i += simd::kLanes) {
+      const P out = P::load(x + i) - P::load(sums + c + i) / nw;
+      (P::load(mad + c + i) + P::abs(out)).store(mad + c + i);
+      if constexpr (kStore) out.store(row + c + i);
+    }
+    for (std::size_t i = kMain; i < Lanes::kWidth; ++i) {
+      const double out = x[i] - sums[c + i] / nwin;
+      mad[c + i] = mad[c + i] + (out < 0.0 ? -out : out);  // P::abs
+      if constexpr (kStore) row[c + i] = out;
+    }
+  }
+  if constexpr (kStore) {
+    for (std::size_t c = Lanes::kCount * Lanes::kWidth; c < stride; ++c) {
+      row[c] = 0.0;
+    }
+  }
+}
+
+/// The centering sweep over every usable record, in the order the span
+/// variant sweeps one series: per record, add the records entering its
+/// [t_k - w/2, t_k + w/2] window, retire those leaving it, then center.
+/// The window bounds depend only on the shared timestamps, so every lane
+/// replays that variant's add/retire chain.
+template <class Lanes>
+WB_SIMD_INLINE void sweep(std::span<const wifi::CaptureRecord* const> recs,
+                          TimeUs half, std::size_t keep_lo,
+                          std::size_t keep_hi, std::size_t stride,
+                          double* sums, double* mad, double* kept) {
+  const std::size_t n = recs.size();
+  std::size_t head = 0;  // first record inside [t_k - half, t_k + half]
+  std::size_t tail = 0;  // one past the last record inside
   for (std::size_t k = 0; k < n; ++k) {
-    // Same cursor advance and per-column add/retire order as the span
-    // variant — the window bounds depend only on the shared timestamps,
-    // which is what makes batching across columns free.
-    while (tail < n && ts[tail] <= ts[k] + half) {
-      const double* row = rows.data() + tail * stride;
-      for (std::size_t g = 0; g < stride; g += simd::kLanes) {
-        (P::load(sum_scratch.data() + g) + P::load(row + g))
-            .store(sum_scratch.data() + g);
-      }
+    const TimeUs t = recs[k]->timestamp_us;
+    while (tail < n && recs[tail]->timestamp_us <= t + half) {
+      slide<Lanes, true>(*recs[tail], sums);
       ++tail;
     }
-    while (ts[head] < ts[k] - half) {
-      const double* row = rows.data() + head * stride;
-      for (std::size_t g = 0; g < stride; g += simd::kLanes) {
-        (P::load(sum_scratch.data() + g) - P::load(row + g))
-            .store(sum_scratch.data() + g);
-      }
+    while (recs[head]->timestamp_us < t - half) {
+      slide<Lanes, false>(*recs[head], sums);
       ++head;
     }
-    const P nwin = P::broadcast(static_cast<double>(tail - head));
-    const double* x = rows.data() + k * stride;
-    double* o = out_rows.data() + k * stride;
-    for (std::size_t g = 0; g < stride; g += simd::kLanes) {
-      const P out = P::load(x + g) - P::load(sum_scratch.data() + g) / nwin;
-      out.store(o + g);
-      (P::load(mad + g) + P::abs(out)).store(mad + g);
+    const auto nwin = static_cast<double>(tail - head);
+    if (k >= keep_lo && k < keep_hi) {
+      center<Lanes, true>(*recs[k], sums, nwin, mad,
+                          kept + (k - keep_lo) * stride, stride);
+    } else {
+      center<Lanes, false>(*recs[k], sums, nwin, mad, nullptr, stride);
     }
   }
 }
 
-}  // namespace
-
-void remove_time_moving_average_rows(std::span<const TimeUs> ts,
-                                     std::span<const double> rows,
-                                     std::size_t stride, TimeUs window_us,
-                                     std::span<double> sum_scratch,
-                                     std::span<double> out_rows,
-                                     std::span<double> mad_out) {
-  WB_REQUIRE(mad_out.size() == stride,
-             "mad output needs one accumulator per lane column");
-  WB_REQUIRE(!detail::spans_overlap(mad_out.data(), mad_out.size(),
-                                    out_rows.data(), out_rows.size()),
-             "mad output must not alias the output rows");
-  WB_REQUIRE(!detail::spans_overlap(mad_out.data(), mad_out.size(),
-                                    sum_scratch.data(), sum_scratch.size()),
-             "mad output must not alias the window sums");
-  for (double& m : mad_out) m = 0.0;
-  movavg_rows_impl(ts, rows, stride, window_us, sum_scratch, out_rows,
-                   mad_out.data());
-  if (ts.empty()) {
-    // No rows: every column is degenerate, same safe divisors mad_rows
-    // produces on an empty matrix.
-    for (double& m : mad_out) m = 1.0;
-    return;
-  }
-  // Same divisor fixup as mad_rows: degenerate columns (mad <= 0) divide
-  // by 1.0, an exact copy.
-  const double n = static_cast<double>(ts.size());
-  for (double& m : mad_out) {
-    const double mad = m / n;
-    m = mad <= 0.0 ? 1.0 : mad;
+// The sweep for either lane layout, compiled once per ISA clone.
+WB_SIMD_MULTIVERSION
+void sweep_records(std::span<const wifi::CaptureRecord* const> recs,
+                   bool csi, TimeUs half, std::size_t keep_lo,
+                   std::size_t keep_hi, std::size_t stride, double* sums,
+                   double* mad, double* kept) {
+  if (csi) {
+    sweep<CsiLanes>(recs, half, keep_lo, keep_hi, stride, sums, mad, kept);
+  } else {
+    sweep<RssiLanes>(recs, half, keep_lo, keep_hi, stride, sums, mad, kept);
   }
 }
 
-namespace {
+// Centers every usable record where it lies in the capture (no copy),
+// stores the rows of records [keep_lo, keep_hi) into `kept`
+// ((keep_hi - keep_lo) x stride), and leaves each lane's MAD divisor in
+// `mad` (size stride): the mean |centered| over *every* record, summed in
+// record order as normalize_mad sums one series, with degenerate lanes
+// (mad <= 0, padding included) dividing by an exact 1.0. `sums` (size
+// stride) is the window-sum scratch. The contract checks stay out of the
+// clones: GCC treats a call to a target_clones function as nothrow, so a
+// check throwing inside one (ContractPolicy::kThrow) would terminate
+// instead of unwinding.
+void center_records(std::span<const wifi::CaptureRecord* const> recs,
+                    bool csi, TimeUs window_us, std::size_t keep_lo,
+                    std::size_t keep_hi, std::size_t stride,
+                    std::span<double> sums, std::span<double> mad,
+                    std::span<double> kept) {
+  WB_REQUIRE(window_us > TimeUs{},
+             "moving-average window must be positive");
+  WB_REQUIRE(std::is_sorted(recs.begin(), recs.end(),
+                            [](const wifi::CaptureRecord* a,
+                               const wifi::CaptureRecord* b) {
+                              return a->timestamp_us < b->timestamp_us;
+                            }),
+             "capture timestamps must be non-decreasing");
+  WB_REQUIRE(keep_lo <= keep_hi && keep_hi <= recs.size() &&
+                 kept.size() == (keep_hi - keep_lo) * stride,
+             "kept rows must be a stride-wide row per kept record");
+  WB_REQUIRE(sums.size() == stride && mad.size() == stride,
+             "window sums and divisors need one lane per column");
+  for (double& s : sums) s = 0.0;
+  for (double& m : mad) m = 0.0;
+  sweep_records(recs, csi, window_us / 2, keep_lo, keep_hi, stride,
+                sums.data(), mad.data(), kept.data());
+  if (recs.empty()) {
+    // No rows: every column is degenerate, so every divisor is 1.0.
+    for (double& m : mad) m = 1.0;
+    return;
+  }
+  const auto n = static_cast<double>(recs.size());
+  for (double& m : mad) {
+    const double mean_abs = m / n;
+    m = mean_abs <= 0.0 ? 1.0 : mean_abs;
+  }
+}
 
 // Transpose the conditioned [packet][lane] rows back to the
 // [stream][packet] vectors the decoders consume, dividing each column by
 // its MAD on the way out — normalize_mad's divide fused into the
 // transpose, one matrix pass instead of two. Each element still sees the
-// same single IEEE divide by the same mad_rows divisor, so the output is
+// same single IEEE divide by normalize_mad's divisor, so the output is
 // bit-identical to normalize-then-copy. Reads are contiguous pack loads
 // (stride is padded past num_streams, so the last group may cover inert
 // padding columns); writes fan each lane out to its stream vector.
@@ -211,84 +271,88 @@ void transpose_divide_rows(const double* rows, std::size_t stride,
 
 }  // namespace
 
+PacketSpan packet_span(const wifi::CaptureTrace& trace,
+                       MeasurementSource source) {
+  const bool want_csi = source == MeasurementSource::kCsi;
+  PacketSpan span;
+  for (const auto& rec : trace) {
+    if (want_csi && !rec.has_csi) continue;
+    if (span.packets == 0) span.first_us = rec.timestamp_us;
+    span.last_us = rec.timestamp_us;
+    ++span.packets;
+  }
+  return span;
+}
+
+PacketSpan packet_span(const ConditionedTrace& ct) {
+  PacketSpan span;
+  span.packets = ct.num_packets();
+  if (span.packets > 0) {
+    span.first_us = ct.timestamps.front();
+    span.last_us = ct.timestamps.back();
+  }
+  return span;
+}
+
 void condition_into(const wifi::CaptureTrace& trace, MeasurementSource source,
                     TimeUs movavg_window_us, DecodeWorkspace& ws,
-                    ConditionedTrace& out) {
+                    ConditionedTrace& out, TimeUs keep_from_us,
+                    TimeUs keep_to_us) {
   WB_REQUIRE(movavg_window_us > TimeUs{},
              "moving-average window must be positive");
   obs::ScopedTimer timer("reader.conditioning.wall_us");
 
-  const std::size_t num_streams = (source == MeasurementSource::kCsi)
-                                      ? wifi::kNumCsiStreams
-                                      : phy::kNumAntennas;
-
-  // Collect raw series straight into preallocated SoA buffers: count the
-  // usable records first, size every stream once, then write by index.
-  // For CSI, records without CSI (beacons on the paper's NIC) are skipped
-  // entirely; for RSSI every record counts.
   const bool want_csi = source == MeasurementSource::kCsi;
+  const std::size_t num_streams =
+      want_csi ? wifi::kNumCsiStreams : phy::kNumAntennas;
+
+  // The usable records, in capture order: for CSI, records without CSI
+  // (beacons on the paper's NIC) are skipped entirely; for RSSI every
+  // record counts. The kept records are the run stamped in
+  // [keep_from_us, keep_to_us) (a run, since the timestamps are sorted,
+  // which the kernel checks).
+  ws.records.resize(trace.size());
   std::size_t n = 0;
-  if (want_csi) {
-    for (const auto& rec : trace) n += rec.has_csi ? 1 : 0;
-  } else {
-    n = trace.size();
-  }
-  out.timestamps.resize(n);
-
-  // Interleaved [packet][lane] rows (DESIGN.md §15): each record writes one
-  // contiguous row — the order a record naturally arrives in — and the
-  // batched kernels then center + normalise all stream columns per time
-  // step in one pass. The stride pads up to the pack width; padding lanes
-  // are zero-filled so they ride through the kernels as inert columns.
-  const std::size_t stride =
-      (num_streams + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
-  ws.raw_rows.resize(n * stride);
-  ws.centered_rows.resize(n * stride);
-  ws.row_sums.resize(stride);
-  ws.row_mads.resize(stride);
-
-  std::size_t idx = 0;
+  std::size_t keep_lo = 0;
+  std::size_t kept = 0;
   for (const auto& rec : trace) {
     if (want_csi && !rec.has_csi) continue;
-    out.timestamps[idx] = rec.timestamp_us;
-    double* row = ws.raw_rows.data() + idx * stride;
-    if (want_csi) {
-      // Lane order is antenna-major (stream_index), so the record's CSI
-      // matrix is copied row by row — each antenna row is contiguous.
-      for (std::size_t a = 0; a < phy::kNumAntennas; ++a) {
-        std::memcpy(row + a * phy::kNumSubchannels, rec.csi[a].data(),
-                    phy::kNumSubchannels * sizeof(double));
-      }
-    } else {
-      for (std::size_t s = 0; s < num_streams; ++s) {
-        row[s] = rec.rssi_dbm[s];
-      }
+    ws.records[n++] = &rec;
+    if (rec.timestamp_us < keep_from_us) {
+      ++keep_lo;
+    } else if (rec.timestamp_us < keep_to_us) {
+      ++kept;
     }
-    for (std::size_t s = num_streams; s < stride; ++s) row[s] = 0.0;
-    ++idx;
   }
-  WB_ENSURE(idx == n);
+  ws.records.resize(n);
 
+  // Kept rows are row-major [packet][lane] (DESIGN.md §15): one lane per
+  // stream, the stride padded up to the pack width with zeroed lanes
+  // that ride through the transpose as inert columns.
+  const std::size_t stride =
+      (num_streams + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
+  ws.centered_rows.resize(kept * stride);
+  ws.row_sums.resize(stride);
+  ws.row_mads.resize(stride);
+  center_records(ws.records, want_csi, movavg_window_us, keep_lo,
+                 keep_lo + kept, stride, ws.row_sums, ws.row_mads,
+                 ws.centered_rows);
+
+  out.timestamps.resize(kept);
+  for (std::size_t k = 0; k < kept; ++k) {
+    out.timestamps[k] = ws.records[keep_lo + k]->timestamp_us;
+  }
   out.streams.resize(num_streams);
   for (std::size_t s = 0; s < num_streams; ++s) {
-    out.streams[s].resize(n);
+    out.streams[s].resize(kept);
   }
-  if (n > 0) {
-    // Fused pipeline, bit-identical to per-stream remove_time_moving_average
-    // + normalize_mad: the MAD divisors accumulate
-    // inside the centering sweep (conditioning.h) and the divide rides the
-    // transpose, so the matrix crosses memory twice instead of four times.
-    remove_time_moving_average_rows(
-        std::span<const TimeUs>(out.timestamps),
-        std::span<const double>(ws.raw_rows), stride, movavg_window_us,
-        ws.row_sums, ws.centered_rows, ws.row_mads);
-    transpose_divide_rows(ws.centered_rows.data(), stride, n,
-                          ws.row_mads.data(), num_streams, out.streams);
-  }
+  // The normalise divide rides the transpose, so each kept value is
+  // divided once by its stream's whole-trace MAD.
+  transpose_divide_rows(ws.centered_rows.data(), stride, kept,
+                        ws.row_mads.data(), num_streams, out.streams);
   if (auto* m = obs::metrics()) {
     m->counter("reader.conditioning.traces_total").add(1);
-    m->counter("reader.conditioning.packets_total")
-        .add(out.timestamps.size());
+    m->counter("reader.conditioning.packets_total").add(n);
     m->gauge("reader.conditioning.streams_count")
         .set(static_cast<double>(num_streams));
   }

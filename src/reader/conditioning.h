@@ -46,13 +46,38 @@ ConditionedTrace condition(const wifi::CaptureTrace& trace,
                            MeasurementSource source,
                            TimeUs movavg_window_us = TimeUs{400'000});
 
-/// Allocation-free variant of condition(): raw collection and the
+/// Allocation-free variant of condition(): the record list and the
 /// moving-average scratch live in `ws` (decode_workspace.h), the result is
 /// written into `out` reusing its capacity. Bit-identical to condition().
+///
+/// `out` holds only the packets stamped in [keep_from_us, keep_to_us)
+/// (default: every packet), and only their rows are divided and
+/// transposed. The moving average and the MAD divisor still run over
+/// every usable record, so each kept value equals its value in the whole
+/// conditioned trace bit for bit. The reader.conditioning.* metrics and
+/// the forensics ledger count every usable record.
 WB_REALTIME void condition_into(const wifi::CaptureTrace& trace,
                                 MeasurementSource source,
                                 TimeUs movavg_window_us, DecodeWorkspace& ws,
-                                ConditionedTrace& out);
+                                ConditionedTrace& out,
+                                TimeUs keep_from_us = -TimeUs::max(),
+                                TimeUs keep_to_us = TimeUs::max());
+
+/// How many packets a trace gives the decoder, and the first and last of
+/// their timestamps (both 0 when there are none).
+struct PacketSpan {
+  std::size_t packets = 0;
+  TimeUs first_us{0};
+  TimeUs last_us{0};
+};
+
+/// The usable records of a raw trace (CSI: those that carry CSI; RSSI:
+/// all), read straight from the records.
+PacketSpan packet_span(const wifi::CaptureTrace& trace,
+                       MeasurementSource source);
+
+/// The packets of a conditioned trace.
+PacketSpan packet_span(const ConditionedTrace& ct);
 
 /// The moving-average-removal stage alone (exposed for tests and the
 /// ablation bench): y_k = x_k - mean{x_j : t_j in (t_k - window, t_k]}.
@@ -66,26 +91,5 @@ std::vector<double> remove_time_moving_average(
 void remove_time_moving_average(std::span<const TimeUs> ts,
                                 std::span<const double> xs, TimeUs window_us,
                                 std::span<double> out);
-
-/// Stream-batched variant (DESIGN.md §15) with wb::mad_rows' divisor
-/// pass fused in. `rows` is a row-major [packet][lane] matrix — ts.size()
-/// rows of `stride` lanes, `stride` a multiple of simd::kLanes — and every
-/// lane column is centered exactly as the span variant centers one series:
-/// the [t_k - w/2, t_k + w/2] window cursors are shared across columns
-/// (the timestamps are shared), the per-column window sums live in
-/// `sum_scratch` (size `stride`) and advance in the same
-/// add-tail-then-retire-head order. `out_rows` must not alias `rows`
-/// (window re-reads). Bit-identical per column to the span variant.
-/// Each centered row also accumulates |out| per column as it is written
-/// (the same row order mad_rows reads in), and `mad_out` (size `stride`)
-/// gets the same fixed-up divisors mad_rows(out_rows, ...) would produce,
-/// one matrix read cheaper. `mad_out` must not alias the output or the
-/// window sums.
-void remove_time_moving_average_rows(std::span<const TimeUs> ts,
-                                     std::span<const double> rows,
-                                     std::size_t stride, TimeUs window_us,
-                                     std::span<double> sum_scratch,
-                                     std::span<double> out_rows,
-                                     std::span<double> mad_out);
 
 }  // namespace wb::reader

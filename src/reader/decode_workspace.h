@@ -24,16 +24,18 @@
 
 #include "reader/conditioning.h"
 #include "util/units.h"
+#include "wifi/capture.h"
 
 namespace wb::reader {
 
 struct DecodeWorkspace {
   // -- conditioning (condition_into, DESIGN.md §15) --
-  // Row-major [packet][lane] matrices: one row per usable record, one lane
-  // per stream, the stride padded up to a multiple of simd::kLanes so the
-  // batched kernels run branch-free (padding lanes carry zeros).
-  std::vector<double> raw_rows;       ///< interleaved raw collection
-  std::vector<double> centered_rows;  ///< kernel output (normalised in place)
+  /// The usable records, read in place by the centering kernel.
+  std::vector<const wifi::CaptureRecord*> records;
+  /// Centered kept rows, row-major [packet][lane]: one lane per stream,
+  /// the stride padded up to a multiple of simd::kLanes (padding lanes
+  /// carry zeros).
+  std::vector<double> centered_rows;
   std::vector<double> row_sums;       ///< per-lane window-sum scratch
   std::vector<double> row_mads;       ///< per-lane MAD divisors
 
@@ -63,7 +65,9 @@ struct DecodeWorkspace {
   std::vector<int> slot_n;
 
   // -- whole-trace buffers reused across decodes --
-  ConditionedTrace conditioned;  ///< decode(trace, ws) conditioning output
+  /// decode_into's conditioning output: the uplink decoder keeps only the
+  /// span its search reads, the coded decoder the whole trace.
+  ConditionedTrace conditioned;
   ConditionedTrace clipped;      ///< coded decoder's winsorised copy
 };
 

@@ -30,25 +30,37 @@ UplinkDecoder::UplinkDecoder(UplinkDecoderConfig cfg)
              "probe offset");
 }
 
+UplinkDecoder::SearchRange UplinkDecoder::search_range(
+    const PacketSpan& whole) const {
+  WB_REQUIRE(whole.packets > 0, "a search range needs a packet");
+  TimeUs from = cfg_.search_from.value_or(whole.first_us);
+  TimeUs to =
+      cfg_.search_to.value_or(whole.last_us - cfg_.frame_duration_us());
+  from = std::max(from, whole.first_us - cfg_.bit_duration_us);
+  // The constructor rejects an inverted *configured* window; this clamp
+  // only covers the data-derived default (a trace shorter than one frame
+  // makes last_us - frame_duration precede `from`), where probing the single
+  // offset `from` is the right degenerate search.
+  to = std::max(to, from);
+  return {from, to};
+}
+
 bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
                                DecodeWorkspace& ws, TimeUs& start_us,
                                double& score,
                                obs::DropReason& failure) const {
-  if (ct.num_packets() == 0 || ct.num_streams() == 0) {
+  return sync(ct, packet_span(ct), ws, start_us, score, failure);
+}
+
+bool UplinkDecoder::sync(const ConditionedTrace& ct, const PacketSpan& whole,
+                         DecodeWorkspace& ws, TimeUs& start_us,
+                         double& score, obs::DropReason& failure) const {
+  if (whole.packets == 0 || ct.num_streams() == 0) {
     failure = obs::DropReason::kEmptyTrace;
     return false;
   }
 
-  const TimeUs t0 = ct.timestamps.front();
-  const TimeUs t1 = ct.timestamps.back();
-  TimeUs from = cfg_.search_from.value_or(t0);
-  TimeUs to = cfg_.search_to.value_or(t1 - cfg_.frame_duration_us());
-  from = std::max(from, t0 - cfg_.bit_duration_us);
-  // The constructor rejects an inverted *configured* window; this clamp
-  // only covers the data-derived default (a trace shorter than one frame
-  // makes t1 - frame_duration precede `from`), where probing the single
-  // offset `from` is the right degenerate search.
-  to = std::max(to, from);
+  const auto [from, to] = search_range(whole);
   const TimeUs step =
       std::max(cfg_.bit_duration_us / kSyncStepsPerBit, TimeUs{1});
 
@@ -137,9 +149,18 @@ UplinkDecodeResult UplinkDecoder::decode(
 void UplinkDecoder::decode_into(const wifi::CaptureTrace& trace,
                                 DecodeWorkspace& ws,
                                 UplinkDecodeResult& out) const {
+  // Sync reads the slots of candidates [from, to], the preamble variance
+  // and MRC the frame from the chosen start, so nothing past
+  // to + frame_duration or before from is read: conditioning keeps only
+  // that span. The search range comes from the raw trace, exactly as
+  // find_frame would derive it from the whole conditioned trace.
+  const PacketSpan whole = packet_span(trace, cfg_.source);
+  const SearchRange range =
+      whole.packets > 0 ? search_range(whole) : SearchRange{};
   condition_into(trace, cfg_.source, cfg_.movavg_window_us, ws,
-                 ws.conditioned);
-  decode_conditioned_into(ws.conditioned, ws, out);
+                 ws.conditioned, range.from,
+                 range.to + cfg_.frame_duration_us());
+  decode_span_into(ws.conditioned, whole, ws, out);
   // This overload still holds the raw capture, so it is the one place a
   // failed attempt can leave a replayable exemplar behind. wants_exemplar
   // gates the (allocating) serialization to the first few drops per
@@ -166,6 +187,13 @@ UplinkDecodeResult UplinkDecoder::decode_conditioned(
 void UplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct,
                                             DecodeWorkspace& ws,
                                             UplinkDecodeResult& out) const {
+  decode_span_into(ct, packet_span(ct), ws, out);
+}
+
+void UplinkDecoder::decode_span_into(const ConditionedTrace& ct,
+                                     const PacketSpan& whole,
+                                     DecodeWorkspace& ws,
+                                     UplinkDecodeResult& out) const {
   obs::ScopedTimer timer("reader.uplink.decode_wall_us");
   auto* m = obs::metrics();
   auto* fx = obs::forensics();
@@ -191,18 +219,17 @@ void UplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct,
       fx->record_drop(obs::DropStage::kUplinkDecoder, reason);
     }
     if (auto* rec = obs::recorder()) {
-      rec->log(ct.num_packets() > 0 ? ct.timestamps.front() : TimeUs{0},
-               obs::Severity::kWarn, "reader.uplink",
+      rec->log(whole.first_us, obs::Severity::kWarn, "reader.uplink",
                obs::to_string(reason),
                {{"sync_score", best_score},
-                {"packets", static_cast<double>(ct.num_packets())}});
+                {"packets", static_cast<double>(whole.packets)}});
     }
   };
 
   TimeUs start{0};
   double score = 0.0;
   obs::DropReason sync_failure{};
-  if (!find_frame(ct, ws, start, score, sync_failure)) {
+  if (!sync(ct, whole, ws, start, score, sync_failure)) {
     drop(sync_failure, score);
     return;
   }

@@ -123,7 +123,12 @@ class UplinkDecoder {
   // result reuses `out`'s vectors, so a warm workspace + reused result
   // make a decode allocation-free.
 
-  /// Full pipeline; conditioning output is kept in `ws.conditioned`.
+  /// Full pipeline. Conditioning keeps only the span that the sync
+  /// search, the preamble variance and MRC read, [from, to + frame
+  /// duration) of the clamped search window, so afterwards
+  /// `ws.conditioned` holds that span, not the whole trace. The outputs
+  /// are bit-identical to decode_conditioned_into on the whole
+  /// conditioned trace.
   WB_REALTIME void decode_into(const wifi::CaptureTrace& trace,
                                DecodeWorkspace& ws,
                                UplinkDecodeResult& out) const;
@@ -166,6 +171,29 @@ class UplinkDecoder {
   const UplinkDecoderConfig& config() const { return cfg_; }
 
  private:
+  /// Candidate frame starts from, from + step, ... up to to.
+  struct SearchRange {
+    TimeUs from;
+    TimeUs to;
+  };
+
+  /// The candidates for a trace whose packets span `whole` (not empty):
+  /// the configured window, by default the whole trace less one frame,
+  /// with `from` no earlier than one bit before the first packet and `to`
+  /// no earlier than `from`.
+  SearchRange search_range(const PacketSpan& whole) const;
+
+  /// find_frame over the candidates of search_range(whole). `ct` may hold
+  /// only the span the search reads; `whole` describes the full trace.
+  bool sync(const ConditionedTrace& ct, const PacketSpan& whole,
+            DecodeWorkspace& ws, TimeUs& start_us, double& score,
+            obs::DropReason& failure) const;
+
+  /// decode_conditioned_into on a trace that may hold only the span
+  /// decode_into keeps; the failure paths report `whole`, the full trace.
+  void decode_span_into(const ConditionedTrace& ct, const PacketSpan& whole,
+                        DecodeWorkspace& ws, UplinkDecodeResult& out) const;
+
   UplinkDecoderConfig cfg_;
   std::vector<double> preamble_bipolar_;  ///< +-1.0 sync template
 };

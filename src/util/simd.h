@@ -42,7 +42,24 @@
 // the compiler cannot contract even if a mul_add sneaks into an annotated
 // kernel. Keep it that way; never add "fma" or an arch= level that
 // implies it.
-#if defined(__x86_64__) && defined(__GNUC__)
+//
+// ThreadSanitizer builds take the `default` build alone. TSan instruments
+// the ifunc resolvers target_clones emits, and the loader runs those
+// resolvers while it applies IRELATIVE relocations, before libtsan has
+// initialised, so a TSan binary linking any annotated kernel crashes at
+// startup. The default clone compiles the same source, so TSan still
+// checks every line.
+//
+// GCC treats a call to an annotated kernel as nothrow, so a contract check
+// inside one that throws under ContractPolicy::kThrow can terminate
+// instead of unwinding: check contracts before the call.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define WB_SIMD_TSAN 1
+#endif
+#endif
+#if defined(__x86_64__) && defined(__GNUC__) && \
+    !defined(__SANITIZE_THREAD__) && !defined(WB_SIMD_TSAN)
 #define WB_SIMD_MULTIVERSION __attribute__((target_clones("avx2", "default")))
 #else
 #define WB_SIMD_MULTIVERSION

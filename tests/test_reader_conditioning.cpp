@@ -1,10 +1,15 @@
 #include "reader/conditioning.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "reader/decode_workspace.h"
 #include "sim/rng.h"
 #include "util/check.h"
 #include "util/dsp.h"
@@ -149,105 +154,7 @@ TEST(Conditioning, EmptyTrace) {
   EXPECT_EQ(ct.num_streams(), wifi::kNumCsiStreams);
 }
 
-// -- stream-batched kernels (DESIGN.md §15) -----------------------------
-
-/// Irregular but sorted timestamps so the window cursors actually move.
-std::vector<TimeUs> make_ts(std::size_t n) {
-  std::vector<TimeUs> ts(n);
-  std::int64_t t = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    t += 200 + 150 * static_cast<std::int64_t>(k % 7);
-    ts[k] = TimeUs{t};
-  }
-  return ts;
-}
-
-std::vector<double> make_matrix(std::size_t n, std::size_t stride) {
-  std::vector<double> rows(n * stride);
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t c = 0; c + 1 < stride; ++c) {
-      rows[k * stride + c] =
-          std::sin(0.23 * static_cast<double>(k * stride + c)) +
-          0.05 * static_cast<double>(c);
-    }
-    rows[k * stride + stride - 1] = 0.0;  // padding column
-  }
-  return rows;
-}
-
-TEST(Conditioning, RowsMovingAverageMatchesPerColumnSpanKernel) {
-  const std::size_t stride = 8;
-  const TimeUs w{2'000};
-  // Lengths around the pack width cover the pack loop, the scalar
-  // remainder, and the degenerate single-row matrix.
-  for (const std::size_t n : {std::size_t{1}, std::size_t{5},
-                              std::size_t{37}}) {
-    const auto ts = make_ts(n);
-    const auto rows = make_matrix(n, stride);
-    std::vector<double> out(rows.size(), -99.0), sums(stride), mads(stride);
-    remove_time_moving_average_rows(ts, rows, stride, w, sums, out, mads);
-    for (std::size_t c = 0; c < stride; ++c) {
-      std::vector<double> col(n), want(n);
-      for (std::size_t k = 0; k < n; ++k) col[k] = rows[k * stride + c];
-      remove_time_moving_average(std::span<const TimeUs>(ts),
-                                 std::span<const double>(col), w, want);
-      for (std::size_t k = 0; k < n; ++k) {
-        EXPECT_EQ(out[k * stride + c], want[k]) << "col " << c << " k " << k;
-      }
-    }
-  }
-}
-
-TEST(Conditioning, FusedMadOverloadMatchesKernelSequence) {
-  // The fused divisors equal mad_rows run over the finished output.
-  const std::size_t stride = 8, n = 37;
-  const auto ts = make_ts(n);
-  const auto rows = make_matrix(n, stride);
-  const TimeUs w{2'000};
-
-  std::vector<double> out(rows.size()), sums(stride);
-  std::vector<double> mads_fused(stride, -99.0), mads_seq(stride);
-  remove_time_moving_average_rows(ts, rows, stride, w, sums, out,
-                                  mads_fused);
-  mad_rows(out, stride, n, mads_seq);
-  EXPECT_EQ(mads_seq, mads_fused);
-}
-
-TEST(Conditioning, FusedMadOverloadEmptyInputYieldsSafeDivisors) {
-  std::vector<double> sums(8), mads(8, -99.0);
-  remove_time_moving_average_rows({}, std::span<const double>(), 8,
-                                  TimeUs{2'000}, sums, std::span<double>(),
-                                  mads);
-  // No rows: every column is degenerate, so every divisor is the safe 1.0.
-  for (double v : mads) EXPECT_EQ(v, 1.0);
-}
-
-TEST(Conditioning, SpanKernelsRejectAliasedOutputs) {
-  ScopedContractPolicy guard(ContractPolicy::kThrow);
-  const std::size_t stride = 8, n = 5;
-  const auto ts = make_ts(n);
-  auto rows = make_matrix(n, stride);
-  std::vector<double> sums(stride), mads(stride);
-
-  // Span variant: the sliding window re-reads behind the cursor.
-  std::vector<double> xs(n, 1.0);
-  EXPECT_THROW(remove_time_moving_average(std::span<const TimeUs>(ts),
-                                          std::span<const double>(xs),
-                                          TimeUs{2'000},
-                                          std::span<double>(xs)),
-               ContractViolation);
-  // Rows variant: output over the input matrix.
-  EXPECT_THROW(remove_time_moving_average_rows(
-                   ts, rows, stride, TimeUs{2'000}, sums,
-                   std::span<double>(rows.data(), rows.size()), mads),
-               ContractViolation);
-  // Rows variant: mad vector aliasing the window sums.
-  std::vector<double> out(rows.size());
-  EXPECT_THROW(remove_time_moving_average_rows(
-                   ts, rows, stride, TimeUs{2'000}, sums, out,
-                   std::span<double>(sums.data(), stride)),
-               ContractViolation);
-}
+// -- the in-place kernel and its kept span (DESIGN.md §15) ---------------
 
 /// Composes the documented pipeline out of the retained scalar kernels:
 /// per stream, collect -> remove_time_moving_average -> normalize_mad.
@@ -280,6 +187,213 @@ ConditionedTrace condition_scalar_reference(const wifi::CaptureTrace& trace,
     normalize_mad(centered, out.streams[s]);
   }
   return out;
+}
+
+/// Irregular but sorted timestamps so the window cursors actually move.
+std::vector<TimeUs> make_ts(std::size_t n) {
+  std::vector<TimeUs> ts(n);
+  std::int64_t t = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    t += 200 + 150 * static_cast<std::int64_t>(k % 7);
+    ts[k] = TimeUs{t};
+  }
+  return ts;
+}
+
+/// Records at make_ts(n) with distinct values in every CSI and RSSI lane.
+/// Every fourth record is a beacon when `beacons` is set; sub-channel 7 of
+/// antenna 1 is constant, so its stream centers to zero and divides by
+/// the degenerate MAD's 1.0; `loud_from` scales the records from that
+/// index on by 50, so a divisor taken over the kept rows alone would be
+/// far off the whole trace's.
+wifi::CaptureTrace make_trace(std::size_t n, bool beacons,
+                              std::size_t loud_from = SIZE_MAX) {
+  const auto ts = make_ts(n);
+  wifi::CaptureTrace trace;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double gain = k >= loud_from ? 50.0 : 1.0;
+    auto r = record_at(ts[k], 0.0, 0.0, !(beacons && k % 4 == 1));
+    for (std::size_t s = 0; s < wifi::kNumCsiStreams; ++s) {
+      r.csi[wifi::stream_antenna(s)][wifi::stream_subchannel(s)] =
+          gain * std::sin(0.23 * static_cast<double>(k * 97 + s)) +
+          0.05 * static_cast<double>(s);
+    }
+    r.csi[1][7] = 3.0;
+    for (std::size_t a = 0; a < phy::kNumAntennas; ++a) {
+      r.rssi_dbm[a] =
+          -40.0 + gain * std::cos(0.31 * static_cast<double>(k * 5 + a));
+    }
+    trace.push_back(r);
+  }
+  return trace;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// condition_into keeping [from, to) equals rows [lo, hi) of the scalar
+/// reference over the whole trace, bit for bit, where [lo, hi) are the
+/// reference's packets stamped in [from, to).
+void expect_kept_rows_match(const wifi::CaptureTrace& trace,
+                            MeasurementSource source, TimeUs window,
+                            TimeUs from, TimeUs to, DecodeWorkspace& ws) {
+  const auto want = condition_scalar_reference(trace, source, window);
+  const auto& ts = want.timestamps;
+  const auto lo = static_cast<std::size_t>(
+      std::lower_bound(ts.begin(), ts.end(), from) - ts.begin());
+  const auto hi = std::max(
+      lo, static_cast<std::size_t>(
+              std::lower_bound(ts.begin(), ts.end(), to) - ts.begin()));
+  ConditionedTrace got;
+  condition_into(trace, source, window, ws, got, from, to);
+  ASSERT_EQ(got.num_streams(), want.num_streams());
+  ASSERT_EQ(got.timestamps,
+            std::vector<TimeUs>(ts.begin() + static_cast<long>(lo),
+                                ts.begin() + static_cast<long>(hi)));
+  for (std::size_t s = 0; s < want.num_streams(); ++s) {
+    ASSERT_EQ(got.streams[s].size(), hi - lo) << "stream " << s;
+    for (std::size_t k = lo; k < hi; ++k) {
+      EXPECT_TRUE(same_bits(got.streams[s][k - lo], want.streams[s][k]))
+          << "stream " << s << " packet " << k << ": "
+          << got.streams[s][k - lo] << " vs " << want.streams[s][k];
+    }
+  }
+}
+
+/// Keep ranges over the usable packets `ts`: the whole trace (the
+/// defaults), an empty one, a single row, and each end.
+std::vector<std::pair<TimeUs, TimeUs>> keep_ranges(
+    const std::vector<TimeUs>& ts) {
+  const TimeUs first = ts.front();
+  const TimeUs mid = ts[ts.size() / 2];
+  return {{-TimeUs::max(), TimeUs::max()},
+          {mid, mid},
+          {mid, mid + TimeUs{1}},
+          {first - TimeUs{1'000}, mid},
+          {mid, ts.back() + TimeUs{1'000}}};
+}
+
+std::vector<TimeUs> usable_ts(const wifi::CaptureTrace& trace,
+                              MeasurementSource source) {
+  std::vector<TimeUs> ts;
+  for (const auto& rec : trace) {
+    if (source == MeasurementSource::kCsi && !rec.has_csi) continue;
+    ts.push_back(rec.timestamp_us);
+  }
+  return ts;
+}
+
+TEST(Conditioning, RowsMovingAverageMatchesPerColumnSpanKernel) {
+  // The in-place kernel centers every lane as the span variant centers
+  // one series, then normalize_mad divides it. Lengths around the pack
+  // width cover the pack loop, the scalar remainder, and the one-row
+  // trace; beacons make the CSI record list skip records.
+  const TimeUs w{2'000};
+  DecodeWorkspace ws;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{5},
+                              std::size_t{37}}) {
+    for (const bool beacons : {false, true}) {
+      const auto trace = make_trace(n, beacons);
+      for (const auto source :
+           {MeasurementSource::kCsi, MeasurementSource::kRssi}) {
+        for (const auto& [from, to] : keep_ranges(usable_ts(trace, source))) {
+          SCOPED_TRACE(::testing::Message()
+                       << "n " << n << " beacons " << beacons << " rssi "
+                       << (source == MeasurementSource::kRssi) << " keep ["
+                       << from << ", " << to << ")");
+          expect_kept_rows_match(trace, source, w, from, to, ws);
+        }
+      }
+    }
+  }
+  // The defaults keep every packet.
+  const auto trace = make_trace(37, true);
+  ConditionedTrace whole;
+  condition_into(trace, MeasurementSource::kCsi, w, ws, whole);
+  EXPECT_EQ(whole.timestamps, usable_ts(trace, MeasurementSource::kCsi));
+}
+
+TEST(Conditioning, FusedMadOverloadMatchesKernelSequence) {
+  // The MAD divisor is summed over every usable record, not over the kept
+  // rows: with the trace's tail 50x louder, a divisor taken over either
+  // end alone would miss by far. Kept rows still equal normalize_mad over
+  // the whole centered series, including the constant stream's exact
+  // 1.0 divisor.
+  const TimeUs w{2'000};
+  DecodeWorkspace ws;
+  const auto trace = make_trace(200, true, /*loud_from=*/120);
+  for (const auto source :
+       {MeasurementSource::kCsi, MeasurementSource::kRssi}) {
+    const auto ts = usable_ts(trace, source);
+    for (const auto& [from, to] : keep_ranges(ts)) {
+      SCOPED_TRACE(::testing::Message()
+                   << "rssi " << (source == MeasurementSource::kRssi)
+                   << " keep [" << from << ", " << to << ")");
+      expect_kept_rows_match(trace, source, w, from, to, ws);
+    }
+    // A single kept row, at the quiet start and at the loud end.
+    for (const TimeUs t : {ts.front(), ts.back()}) {
+      expect_kept_rows_match(trace, source, w, t, t + TimeUs{1}, ws);
+    }
+  }
+}
+
+TEST(Conditioning, FusedMadOverloadEmptyInputYieldsSafeDivisors) {
+  // No usable record: every column is degenerate, so every divisor is the
+  // safe 1.0 — even in a workspace warmed on a real trace — and the
+  // output has every stream, each with no packet.
+  DecodeWorkspace ws;
+  ConditionedTrace out;
+  condition_into(make_trace(37, false), MeasurementSource::kCsi,
+                 TimeUs{2'000}, ws, out);
+  wifi::CaptureTrace beacons_only;
+  for (int i = 0; i < 5; ++i) {
+    beacons_only.push_back(record_at(TimeUs{i * 1'000}, 4.0, -40.0, false));
+  }
+  condition_into(beacons_only, MeasurementSource::kCsi, TimeUs{2'000}, ws,
+                 out);
+  EXPECT_EQ(out.num_packets(), 0u);
+  ASSERT_EQ(out.num_streams(), wifi::kNumCsiStreams);
+  for (const auto& s : out.streams) EXPECT_TRUE(s.empty());
+  for (double v : ws.row_mads) EXPECT_EQ(v, 1.0);
+  condition_into({}, MeasurementSource::kRssi, TimeUs{2'000}, ws, out);
+  EXPECT_EQ(out.num_packets(), 0u);
+  ASSERT_EQ(out.num_streams(), phy::kNumAntennas);
+  for (double v : ws.row_mads) EXPECT_EQ(v, 1.0);
+}
+
+TEST(Conditioning, SpanKernelsRejectAliasedOutputs) {
+  ScopedContractPolicy guard(ContractPolicy::kThrow);
+  const auto ts = make_ts(5);
+  // Span variant: the sliding window re-reads behind the cursor.
+  std::vector<double> xs(ts.size(), 1.0);
+  EXPECT_THROW(remove_time_moving_average(std::span<const TimeUs>(ts),
+                                          std::span<const double>(xs),
+                                          TimeUs{2'000},
+                                          std::span<double>(xs)),
+               ContractViolation);
+}
+
+TEST(Conditioning, ConditionIntoRejectsDecreasingTimestampsAndBadWindow) {
+  ScopedContractPolicy guard(ContractPolicy::kThrow);
+  DecodeWorkspace ws;
+  ConditionedTrace out;
+  auto trace = make_trace(5, false);
+  EXPECT_THROW(condition_into(trace, MeasurementSource::kCsi, TimeUs{}, ws,
+                              out),
+               ContractViolation);
+  std::swap(trace[1].timestamp_us, trace[3].timestamp_us);
+  EXPECT_THROW(condition_into(trace, MeasurementSource::kRssi,
+                              TimeUs{2'000}, ws, out),
+               ContractViolation);
+  // For CSI only usable records must be ordered: a beacon out of order is
+  // skipped before the check.
+  trace = make_trace(5, false);
+  trace[2].has_csi = false;
+  trace[2].timestamp_us = TimeUs{0};
+  condition_into(trace, MeasurementSource::kCsi, TimeUs{2'000}, ws, out);
+  EXPECT_EQ(out.num_packets(), 4u);
 }
 
 TEST(Conditioning, BatchedPipelineBitIdenticalToScalarReference) {

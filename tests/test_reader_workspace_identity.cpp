@@ -4,11 +4,17 @@
 // field of every result must compare EXACTLY equal (==, not NEAR), and a
 // workspace reused across traces of different shapes must leave no stale
 // state behind.
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <optional>
 
 #include <gtest/gtest.h>
 
 #include "core/uplink_sim.h"
+#include "obs/flight_recorder.h"
+#include "obs/forensics.h"
+#include "obs/metrics.h"
 #include "reader/conditioning.h"
 #include "reader/corr_decoder.h"
 #include "reader/decode_workspace.h"
@@ -258,6 +264,213 @@ TEST(WorkspaceIdentity, CodedBatchMatchesPerTraceDecode) {
     expect_same(dec.decode(traces[i]), out);
     EXPECT_EQ(out.found, i != 1);  // the empty trace sits in the middle
   }
+}
+
+// -- cropped decode oracle ----------------------------------------------
+//
+// decode_into conditions only the span its search, preamble variance and
+// MRC read. Each case decodes one trace twice: decode_into, and the
+// whole-trace condition_into followed by decode_conditioned_into. Every
+// result field must match bit for bit, and so must the flight-recorder
+// breadcrumbs, the forensics ledger and the conditioning packet count.
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& vs) {
+  std::vector<std::uint64_t> out;
+  for (double v : vs) out.push_back(bits_of(v));
+  return out;
+}
+
+void expect_identical(const UplinkDecodeResult& a,
+                      const UplinkDecodeResult& b) {
+  EXPECT_EQ(a.found, b.found);
+  EXPECT_EQ(a.start_us, b.start_us);
+  EXPECT_EQ(bits_of(a.sync_score), bits_of(b.sync_score));
+  EXPECT_EQ(a.payload, b.payload);
+  EXPECT_EQ(a.streams, b.streams);
+  EXPECT_EQ(bits_of(a.polarity), bits_of(b.polarity));
+  EXPECT_EQ(a.packets_used, b.packets_used);
+  EXPECT_EQ(a.drop_reason, b.drop_reason);
+  EXPECT_EQ(bits_of(a.weights), bits_of(b.weights));
+  EXPECT_EQ(bits_of(a.confidence), bits_of(b.confidence));
+}
+
+/// One decode's result plus what it left in the observability sinks.
+struct Observed {
+  UplinkDecodeResult result;
+  std::string breadcrumbs;  ///< flight-recorder JSONL
+  std::vector<std::uint64_t> ledger;  ///< conditioning + uplink counts
+  std::uint64_t conditioned_packets = 0;
+};
+
+template <typename Decode>
+Observed observe(Decode&& decode) {
+  Observed o;
+  obs::FlightRecorder rec;
+  obs::ForensicsSink fx;
+  obs::MetricsRegistry m;
+  {
+    obs::ScopedFlightRecorder rec_on(&rec);
+    obs::ScopedForensics fx_on(fx);
+    obs::ScopedMetrics m_on(m);
+    decode(o.result);
+  }
+  o.breadcrumbs = rec.to_jsonl();
+  for (const auto stage :
+       {obs::DropStage::kConditioning, obs::DropStage::kUplinkDecoder}) {
+    o.ledger.push_back(fx.attempts(stage));
+    o.ledger.push_back(fx.decodes(stage));
+    for (std::size_t r = 0; r < obs::kNumDropReasons; ++r) {
+      o.ledger.push_back(fx.drops(stage, static_cast<obs::DropReason>(r)));
+    }
+  }
+  o.conditioned_packets =
+      m.counter("reader.conditioning.packets_total").value();
+  return o;
+}
+
+/// Decodes `trace` both ways and checks they agree; returns the cropped
+/// decode's observations. `ws` is the cropped decode's workspace, shared
+/// across calls so that it runs warm.
+Observed expect_cropped_equals_full(const UplinkDecoder& dec,
+                                    const wifi::CaptureTrace& trace,
+                                    DecodeWorkspace& ws) {
+  const Observed cropped = observe([&](UplinkDecodeResult& out) {
+    dec.decode_into(trace, ws, out);
+  });
+  const Observed full = observe([&](UplinkDecodeResult& out) {
+    DecodeWorkspace full_ws;
+    ConditionedTrace ct;
+    condition_into(trace, dec.config().source, dec.config().movavg_window_us,
+                   full_ws, ct);
+    dec.decode_conditioned_into(ct, full_ws, out);
+  });
+  expect_identical(cropped.result, full.result);
+  EXPECT_EQ(cropped.breadcrumbs, full.breadcrumbs);
+  EXPECT_EQ(cropped.ledger, full.ledger);
+  EXPECT_EQ(cropped.conditioned_packets, full.conditioned_packets);
+  return cropped;
+}
+
+UplinkDecoderConfig oracle_config(std::optional<TimeUs> from,
+                                  std::optional<TimeUs> to) {
+  UplinkDecoderConfig cfg;
+  cfg.payload_bits = 32;
+  cfg.bit_duration_us = TimeUs{10'000};
+  cfg.search_from = from;
+  cfg.search_to = to;
+  return cfg;
+}
+
+TEST(CroppedDecode, MatchesFullDecodeAcrossSearchWindows) {
+  // CSI with interleaved beacons, and RSSI over the same records; the
+  // frame starts at 300 ms, the capture runs to 900 ms.
+  const auto trace =
+      make_capture(TimeUs{10'000}, 32, TimeUs{900'000}, 41, true);
+  ASSERT_TRUE(std::any_of(trace.begin(), trace.end(),
+                          [](const auto& r) { return !r.has_csi; }));
+  const std::pair<std::optional<TimeUs>, std::optional<TimeUs>> windows[] = {
+      {TimeUs{280'000}, TimeUs{320'000}},  // +-2 bits
+      {std::nullopt, std::nullopt},        // the whole trace
+      {TimeUs{-50'000}, TimeUs{320'000}},  // starts before the first packet
+      {TimeUs{280'000}, TimeUs{2'000'000}},  // ends after the last
+      {std::nullopt, TimeUs{320'000}},
+      {TimeUs{280'000}, std::nullopt},
+  };
+  DecodeWorkspace ws;
+  for (const auto& [from, to] : windows) {
+    const auto cfg = oracle_config(from, to);
+    for (const auto& dec : {UplinkDecoder(cfg),
+                            UplinkDecoder(rssi_decoder_config(cfg))}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "from " << from.value_or(TimeUs{-1}) << " to "
+                   << to.value_or(TimeUs{-1}) << " rssi "
+                   << (dec.config().source == MeasurementSource::kRssi));
+      const auto got = expect_cropped_equals_full(dec, trace, ws);
+      EXPECT_TRUE(got.result.found);
+    }
+  }
+}
+
+TEST(CroppedDecode, WindowOverAPacketGapDropsAsTheFullDecodeDoes) {
+  // Records in [1.0 s, 1.6 s) removed. A window inside the gap keeps no
+  // packet at all, yet the trace is not empty: the search still runs and
+  // drops (no_preamble, or slicer_ambiguous once a negative threshold
+  // accepts the empty candidate), exactly as on the whole trace. Windows
+  // straddling either gap edge keep some packets.
+  auto trace = make_capture(TimeUs{10'000}, 32, TimeUs{2'000'000}, 42, true);
+  std::erase_if(trace, [](const wifi::CaptureRecord& r) {
+    return r.timestamp_us >= TimeUs{1'000'000} &&
+           r.timestamp_us < TimeUs{1'600'000};
+  });
+  DecodeWorkspace ws;
+  for (const double threshold : {0.0, -1.0}) {
+    auto cfg = oracle_config(TimeUs{1'050'000}, TimeUs{1'100'000});
+    cfg.sync_threshold = threshold;
+    const auto got = expect_cropped_equals_full(UplinkDecoder(cfg), trace, ws);
+    EXPECT_FALSE(got.result.found);
+    EXPECT_EQ(got.result.drop_reason,
+              threshold < 0.0 ? obs::DropReason::kSlicerAmbiguous
+                              : obs::DropReason::kNoPreamble);
+  }
+  for (const auto& [from, to] :
+       {std::pair{TimeUs{900'000}, TimeUs{1'100'000}},
+        std::pair{TimeUs{1'400'000}, TimeUs{1'650'000}}}) {
+    for (const auto& cfg :
+         {oracle_config(from, to),
+          rssi_decoder_config(oracle_config(from, to))}) {
+      expect_cropped_equals_full(UplinkDecoder(cfg), trace, ws);
+    }
+  }
+}
+
+TEST(CroppedDecode, EmptyAndBeaconsOnlyTracesAreEmptyTraceDrops) {
+  // A found frame first, so the empty decodes run on a warm workspace.
+  auto beacons_only =
+      make_capture(TimeUs{10'000}, 32, TimeUs{900'000}, 43, false);
+  const UplinkDecoder csi(oracle_config(TimeUs{280'000}, TimeUs{320'000}));
+  DecodeWorkspace ws;
+  EXPECT_TRUE(expect_cropped_equals_full(csi, beacons_only, ws).result.found);
+  for (auto& rec : beacons_only) rec.has_csi = false;
+  const auto got = expect_cropped_equals_full(csi, beacons_only, ws);
+  EXPECT_EQ(got.result.drop_reason, obs::DropReason::kEmptyTrace);
+  EXPECT_EQ(got.conditioned_packets, 0u);
+  const auto empty =
+      expect_cropped_equals_full(csi, wifi::CaptureTrace{}, ws);
+  EXPECT_EQ(empty.result.drop_reason, obs::DropReason::kEmptyTrace);
+  // RSSI needs no CSI, so the same records decode.
+  const UplinkDecoder rssi(
+      rssi_decoder_config(oracle_config(TimeUs{280'000}, TimeUs{320'000})));
+  EXPECT_TRUE(expect_cropped_equals_full(rssi, beacons_only, ws).result.found);
+}
+
+TEST(CroppedDecode, FailedDecodeBreadcrumbDescribesTheWholeTrace) {
+  // A threshold no correlation reaches: the drop's breadcrumb carries the
+  // whole trace's first usable timestamp and packet count, not those of
+  // the kept span, and conditioning counts every usable record.
+  const auto trace =
+      make_capture(TimeUs{10'000}, 32, TimeUs{900'000}, 44, true);
+  std::size_t usable = 0;
+  TimeUs first{-1};
+  for (const auto& rec : trace) {
+    if (!rec.has_csi) continue;
+    if (usable++ == 0) first = rec.timestamp_us;
+  }
+  auto cfg = oracle_config(TimeUs{280'000}, TimeUs{320'000});
+  cfg.sync_threshold = 10.0;
+  DecodeWorkspace ws;
+  const auto got = expect_cropped_equals_full(UplinkDecoder(cfg), trace, ws);
+  EXPECT_EQ(got.result.drop_reason, obs::DropReason::kLowSnr);
+  EXPECT_EQ(got.conditioned_packets, usable);
+  EXPECT_LT(ws.conditioned.num_packets(), usable);
+  EXPECT_NE(got.breadcrumbs.find("\"ts_us\":" +
+                                 std::to_string(first.ticks())),
+            std::string::npos)
+      << got.breadcrumbs;
+  EXPECT_NE(got.breadcrumbs.find("\"packets\":" + std::to_string(usable)),
+            std::string::npos)
+      << got.breadcrumbs;
 }
 
 }  // namespace
