@@ -162,15 +162,22 @@ BENCHMARK(BM_EnergyDetectorStep);
 // ---------------------------------------------------------------------
 // --json-out mode: direct measurement of the decode hot path.
 
+/// A conditioned trace in the seed's per-stream layout.
+struct PerStreamTrace {
+  std::vector<TimeUs> timestamps;            ///< per packet
+  std::vector<std::vector<double>> streams;  ///< [stream][packet]
+};
+
 /// The seed's condition() implementation, frozen verbatim (modulo the
-/// metrics block) as the perf baseline: AoS per-record collection via
-/// push_back with per-call stream_csi index arithmetic, then the
-/// allocating dsp wrappers per stream. Produces values identical to
-/// reader::condition — only the memory behaviour differs.
-reader::ConditionedTrace condition_seed(const wifi::CaptureTrace& trace,
-                                        reader::MeasurementSource source,
-                                        TimeUs movavg_window_us) {
-  reader::ConditionedTrace out;
+/// metrics block and its per-stream result type) as the perf baseline:
+/// AoS per-record collection via push_back with per-call stream_csi index
+/// arithmetic, then the allocating dsp wrappers per stream. Produces
+/// values identical to reader::condition — only the memory behaviour
+/// differs.
+PerStreamTrace condition_seed(const wifi::CaptureTrace& trace,
+                              reader::MeasurementSource source,
+                              TimeUs movavg_window_us) {
+  PerStreamTrace out;
   std::vector<std::vector<double>> raw;
   const std::size_t num_streams =
       (source == reader::MeasurementSource::kCsi) ? wifi::kNumCsiStreams
@@ -195,6 +202,19 @@ reader::ConditionedTrace condition_seed(const wifi::CaptureTrace& trace,
   return out;
 }
 
+/// The row-major trace the decoders read, built from a per-stream one.
+reader::ConditionedTrace to_rows(const PerStreamTrace& in) {
+  reader::ConditionedTrace out;
+  out.resize(in.streams.size(), in.timestamps.size());
+  out.timestamps = in.timestamps;
+  for (std::size_t s = 0; s < in.streams.size(); ++s) {
+    for (std::size_t k = 0; k < in.timestamps.size(); ++k) {
+      out.at(k, s) = in.streams[s][k];
+    }
+  }
+  return out;
+}
+
 /// The pre-vectorisation workspace conditioning, frozen as the scalar
 /// reference for the conditioning speedup gate (scripts/check.sh passes
 /// --min-conditioning-speedup to the validator): SoA collection into
@@ -211,8 +231,7 @@ struct ScalarConditionScratch {
 void condition_scalar_into(const wifi::CaptureTrace& trace,
                            reader::MeasurementSource source,
                            TimeUs movavg_window_us,
-                           ScalarConditionScratch& ws,
-                           reader::ConditionedTrace& out) {
+                           ScalarConditionScratch& ws, PerStreamTrace& out) {
   const bool want_csi = source == reader::MeasurementSource::kCsi;
   const std::size_t num_streams =
       want_csi ? wifi::kNumCsiStreams : phy::kNumAntennas;
@@ -303,11 +322,13 @@ bool run_json_report(const std::string& path, bool quick) {
     return s;
   };
 
-  // Frozen pre-workspace reference (see condition_seed above).
+  // Frozen pre-workspace reference (see condition_seed above). The seed
+  // decoder read the per-stream vectors; today's reads rows, so the
+  // reference also pays one copy into them.
   const Sample full_seed = add("full_decode_seed", measure(
       [&] {
         const auto ct =
-            condition_seed(trace, cfg.source, cfg.movavg_window_us);
+            to_rows(condition_seed(trace, cfg.source, cfg.movavg_window_us));
         benchmark::DoNotOptimize(dec.decode_conditioned(ct));
       },
       packets, iters));
@@ -350,7 +371,7 @@ bool run_json_report(const std::string& path, bool quick) {
   // same steady-state memory behaviour, per-stream scalar kernels. The
   // workspace/scalar ratio is the vectorisation-speedup gate.
   ScalarConditionScratch scalar_ws;
-  reader::ConditionedTrace scalar_out;
+  PerStreamTrace scalar_out;
   const Sample cond_scalar = add("conditioning_scalar", measure(
       [&] {
         condition_scalar_into(trace, cfg.source, cfg.movavg_window_us,

@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
   for (std::size_t s = 0; s < phy::kNumSubchannels; ++s) {
     Histogram h(-3.0, 3.0, 48);
     RunningStats stats;
-    for (double v : ct.streams[s]) {
+    for (std::size_t k = 0; k < ct.num_packets(); ++k) {
+      const double v = ct.at(k, s);
       h.push(v);
       stats.push(v);
     }

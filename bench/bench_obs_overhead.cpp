@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include <benchmark/benchmark.h>
 
@@ -78,37 +79,62 @@ struct Sample {
   double allocs_per_decode = 0.0;
 };
 
-/// Times `fn` over `iters` calls after two warmup calls (workspace
-/// capacities reach steady state and the forensics exemplar cap fills).
-/// The timed window repeats kReps times and the *minimum* is reported —
-/// scheduling noise and competing load only ever add time, so the min is
-/// the robust estimator for a relative-overhead gate. The allocation
-/// delta spans all repetitions (the budget is zero, so any rep
+/// Times `fn` over `iters` calls with no obs installed ("off") and with
+/// `sink` and `recorder` installed ("on"), after two warmup calls of each
+/// (workspace capacities reach steady state and the forensics exemplar
+/// cap fills). The timed windows alternate off, on, off, on, ... kReps
+/// times each, so a host slowdown lands on both sides instead of reading
+/// as overhead, and each side reports its *minimum* window: scheduling
+/// noise and competing load only ever add time, so the min is the robust
+/// estimator for a relative-overhead gate. Each side's allocation delta
+/// spans all of its windows (the budget is zero, so any window
 /// allocating fails regardless of which one).
 template <typename F>
-Sample measure(F&& fn, std::size_t packets, int iters) {
-  constexpr int kReps = 3;
-  fn();
-  fn();
-  const std::uint64_t a0 = wb_bench::alloc_count();
-  double best_ns = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
+std::pair<Sample, Sample> measure_off_on(F&& fn, obs::ForensicsSink& sink,
+                                         obs::FlightRecorder& recorder,
+                                         std::size_t packets, int iters) {
+  constexpr int kReps = 10;
+  struct Side {
+    double best_ns = 0.0;
+    std::uint64_t allocs = 0;
+  };
+  const auto window = [&](Side& side, int rep) {
+    const std::uint64_t a0 = wb_bench::alloc_count();
     // wb-analyze: allow(no-wallclock): wall-clock is the measurand here — this timing harness reports ns/packet, never feeds results
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) fn();
     // wb-analyze: allow(no-wallclock): wall-clock is the measurand here (end of the timed window)
     const auto t1 = std::chrono::steady_clock::now();
+    side.allocs += wb_bench::alloc_count() - a0;
     const double ns =
         std::chrono::duration<double, std::nano>(t1 - t0).count();
-    if (rep == 0 || ns < best_ns) best_ns = ns;
+    if (rep == 0 || ns < side.best_ns) side.best_ns = ns;
+  };
+  fn();
+  fn();
+  {
+    const obs::ScopedForensics forensics_guard(sink);
+    const obs::ScopedFlightRecorder recorder_guard(&recorder);
+    fn();
+    fn();
   }
-  const std::uint64_t a1 = wb_bench::alloc_count();
-  Sample s;
-  s.ns_per_packet =
-      best_ns / (static_cast<double>(iters) * static_cast<double>(packets));
-  s.allocs_per_decode =
-      static_cast<double>(a1 - a0) / static_cast<double>(kReps * iters);
-  return s;
+  Side off;
+  Side on;
+  for (int rep = 0; rep < kReps; ++rep) {
+    window(off, rep);
+    const obs::ScopedForensics forensics_guard(sink);
+    const obs::ScopedFlightRecorder recorder_guard(&recorder);
+    window(on, rep);
+  }
+  const auto sample = [&](const Side& side) {
+    Sample s;
+    s.ns_per_packet = side.best_ns / (static_cast<double>(iters) *
+                                      static_cast<double>(packets));
+    s.allocs_per_decode = static_cast<double>(side.allocs) /
+                          static_cast<double>(kReps * iters);
+    return s;
+  };
+  return {sample(off), sample(on)};
 }
 
 int run(const std::string& path, bool quick) {
@@ -126,7 +152,6 @@ int run(const std::string& path, bool quick) {
     report.add_row(name)
         .set("ns_per_packet", s.ns_per_packet)
         .set("allocs_per_decode", s.allocs_per_decode);
-    return s;
   };
 
   const reader::UplinkDecoder dec_ok(decoder_config(0.0));
@@ -145,21 +170,17 @@ int run(const std::string& path, bool quick) {
     benchmark::DoNotOptimize(result.found);
   };
 
-  const Sample off = add("decode_off", measure(decode_ok, packets, iters));
-  const Sample drop_off =
-      add("drop_off", measure(decode_drop, packets, iters));
-
-  Sample on;
-  Sample drop_on;
-  {
-    obs::ForensicsSink sink;
-    obs::FlightRecorder recorder;
-    const obs::ScopedForensics forensics_guard(sink);
-    const obs::ScopedFlightRecorder recorder_guard(&recorder);
-    on = add("decode_forensics_on", measure(decode_ok, packets, iters));
-    drop_on =
-        add("drop_forensics_on", measure(decode_drop, packets, iters));
-  }
+  // One sink and one recorder serve every "on" window.
+  obs::ForensicsSink sink;
+  obs::FlightRecorder recorder;
+  const auto [off, on] =
+      measure_off_on(decode_ok, sink, recorder, packets, iters);
+  const auto [drop_off, drop_on] =
+      measure_off_on(decode_drop, sink, recorder, packets, iters);
+  add("decode_off", off);
+  add("drop_off", drop_off);
+  add("decode_forensics_on", on);
+  add("drop_forensics_on", drop_on);
 
   const double overhead_pct =
       (on.ns_per_packet - off.ns_per_packet) / off.ns_per_packet * 100.0;

@@ -62,12 +62,14 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "reader/downlink_encoder.h"
 #include "runner/sweep.h"
 #include "serve/capture_service.h"
 #include "sim/event_queue.h"
 #include "tag/modulator.h"
 #include "util/args.h"
 #include "util/stats.h"
+#include "wifi/packet.h"
 #include "wifi/replay.h"
 #include "wifi/trace_io.h"
 
@@ -119,6 +121,19 @@ int run_uplink(const util::Args& args) {
   return 0;
 }
 
+/// Why a coded operating point cannot run, or nullptr: the orthogonal
+/// code pair needs two chips, and the decoder's contracts abort on a chip
+/// under 1 us.
+const char* coded_params_error(const core::CodedExperimentParams& p) {
+  if (p.code_length < 2) return "--length must be at least 2 chips";
+  if (!(p.packets_per_chip > 0.0)) return "--pkts-per-chip must be positive";
+  const double chip_us = 1e6 * p.packets_per_chip / p.helper_pps;
+  if (!(chip_us >= 1.0 && chip_us <= 1e12)) {
+    return "--pkts-per-chip must give a chip of 1 us to 1e12 us";
+  }
+  return nullptr;
+}
+
 int run_coded(const util::Args& args) {
   core::CodedExperimentParams p;
   p.tag_reader_distance_m = Meters{args.num("--distance", 1.6)};
@@ -126,6 +141,10 @@ int run_coded(const util::Args& args) {
   p.runs = args.size("--runs", 5);
   p.packets_per_chip = args.num("--pkts-per-chip", 2.0);
   p.seed = args.u64("--seed", 1);
+  if (const char* err = coded_params_error(p)) {
+    std::fprintf(stderr, "coded: %s\n", err);
+    return 2;
+  }
   const auto m = core::measure_coded_uplink_ber(p);
   std::printf("coded uplink @ %.0f cm, L=%zu, %.0f pkt/chip\n",
               p.tag_reader_distance_m.value() * 100, p.code_length,
@@ -135,10 +154,34 @@ int run_coded(const util::Args& args) {
   return 0;
 }
 
+/// Why a downlink operating point cannot run, or nullptr: path loss
+/// aborts on a negative distance, and the encoder's contracts on a slot
+/// shorter than the shortest 802.11 packet or longer than one NAV
+/// reservation holds. The slot is checked before its conversion to ticks.
+const char* downlink_params_error(double distance_m, double slot_us) {
+  if (!(distance_m >= 0.0)) {
+    return "the reader-tag distance must be non-negative";
+  }
+  const reader::DownlinkEncoderConfig enc;
+  const TimeUs longest = enc.max_nav_us - enc.cts_duration_us - enc.sifs_us;
+  if (!(slot_us >= static_cast<double>(wifi::kMinPacketUs.ticks()) &&
+        slot_us <= static_cast<double>(longest.ticks()))) {
+    return "--slot-us must be at least the shortest 802.11 packet (40 us) "
+           "and fit in one NAV reservation";
+  }
+  return nullptr;
+}
+
 int run_downlink(const util::Args& args) {
   core::DownlinkExperimentParams p;
-  p.reader_tag_distance_m = Meters{args.num("--distance", 1.5)};
-  p.slot_us = TimeUs::from_us(args.num("--slot-us", 50));
+  const double distance_m = args.num("--distance", 1.5);
+  const double slot_us = args.num("--slot-us", 50);
+  if (const char* err = downlink_params_error(distance_m, slot_us)) {
+    std::fprintf(stderr, "downlink: %s\n", err);
+    return 2;
+  }
+  p.reader_tag_distance_m = Meters{distance_m};
+  p.slot_us = TimeUs::from_us(slot_us);
   p.total_bits = args.size("--bits", 20'000);
   p.max_burst_bits = 500;
   p.seed = args.u64("--seed", 33);

@@ -173,7 +173,6 @@ BerMeasurement measure_uplink_ber_random_stream(
   reader::DecodeWorkspace ws;
   reader::ConditionedTrace ct;
   reader::ConditionedTrace single;
-  single.streams.resize(1);
   reader::UplinkDecodeResult result;
   BerCounter ber;
   std::size_t failed_syncs = 0;
@@ -182,8 +181,7 @@ BerMeasurement measure_uplink_ber_random_stream(
     reader::condition_into(out.trace, p.source, p.movavg_window_us, ws, ct);
     auto pick_rng = sim::RngStream(frame_seed(p, run)).fork("random-stream");
     const std::size_t pick = pick_rng.uniform_int(ct.num_streams());
-    single.timestamps = ct.timestamps;
-    single.streams[0] = ct.streams[pick];
+    reader::copy_stream(ct, pick, single);
     decoder.decode_conditioned_into(single, ws, result);
     if (!result.found) ++failed_syncs;
     add_run(ber, out.sent, result);
@@ -208,16 +206,14 @@ std::vector<double> measure_per_stream_ber(const UplinkExperimentParams& p) {
   reader::DecodeWorkspace ws;
   reader::ConditionedTrace ct;
   reader::ConditionedTrace single;
-  single.streams.resize(1);
   reader::UplinkDecodeResult result;
   std::vector<BerCounter> counters(wifi::kNumCsiStreams);
   for (std::size_t run = 0; run < q.runs; ++run) {
     const auto out = simulate_one_frame(q, run);
     reader::condition_into(out.trace, reader::MeasurementSource::kCsi,
                            q.movavg_window_us, ws, ct);
-    single.timestamps = ct.timestamps;
     for (std::size_t s = 0; s < ct.num_streams(); ++s) {
-      single.streams[0] = ct.streams[s];
+      reader::copy_stream(ct, s, single);
       decoder.decode_conditioned_into(single, ws, result);
       add_run(counters[s], out.sent, result);
     }

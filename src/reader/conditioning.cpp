@@ -187,10 +187,11 @@ void sweep_records(std::span<const wifi::CaptureRecord* const> recs,
 // `mad` (size stride): the mean |centered| over *every* record, summed in
 // record order as normalize_mad sums one series, with degenerate lanes
 // (mad <= 0, padding included) dividing by an exact 1.0. `sums` (size
-// stride) is the window-sum scratch. The contract checks stay out of the
-// clones: GCC treats a call to a target_clones function as nothrow, so a
-// check throwing inside one (ContractPolicy::kThrow) would terminate
-// instead of unwinding.
+// stride) is the window-sum scratch. collect_records checked that the
+// records are sorted. The contract checks stay out of the clones: GCC
+// treats a call to a target_clones function as nothrow, so a check
+// throwing inside one (ContractPolicy::kThrow) would terminate instead of
+// unwinding.
 void center_records(std::span<const wifi::CaptureRecord* const> recs,
                     bool csi, TimeUs window_us, std::size_t keep_lo,
                     std::size_t keep_hi, std::size_t stride,
@@ -198,12 +199,6 @@ void center_records(std::span<const wifi::CaptureRecord* const> recs,
                     std::span<double> kept) {
   WB_REQUIRE(window_us > TimeUs{},
              "moving-average window must be positive");
-  WB_REQUIRE(std::is_sorted(recs.begin(), recs.end(),
-                            [](const wifi::CaptureRecord* a,
-                               const wifi::CaptureRecord* b) {
-                              return a->timestamp_us < b->timestamp_us;
-                            }),
-             "capture timestamps must be non-decreasing");
   WB_REQUIRE(keep_lo <= keep_hi && keep_hi <= recs.size() &&
                  kept.size() == (keep_hi - keep_lo) * stride,
              "kept rows must be a stride-wide row per kept record");
@@ -225,63 +220,33 @@ void center_records(std::span<const wifi::CaptureRecord* const> recs,
   }
 }
 
-// Transpose the conditioned [packet][lane] rows back to the
-// [stream][packet] vectors the decoders consume, dividing each column by
-// its MAD on the way out — normalize_mad's divide fused into the
-// transpose, one matrix pass instead of two. Each element still sees the
-// same single IEEE divide by normalize_mad's divisor, so the output is
-// bit-identical to normalize-then-copy. Reads are contiguous pack loads
-// (stride is padded past num_streams, so the last group may cover inert
-// padding columns); writes fan each lane out to its stream vector.
+// Divides the centered rows in place by their lanes' MAD divisors: the
+// one IEEE divide per element that normalize_mad applies to one series.
+// Padding lanes divide 0.0 by 1.0.
 WB_SIMD_MULTIVERSION
-void transpose_divide_rows(const double* rows, std::size_t stride,
-                           std::size_t n, const double* mad,
-                           std::size_t num_streams,
-                           std::vector<std::vector<double>>& streams) {
+void divide_rows(double* rows, std::size_t n, std::size_t stride,
+                 const double* mad) {
   using P = simd::dpack;
-  constexpr std::size_t L = simd::kLanes;
-  for (std::size_t g = 0; g < num_streams; g += L) {
-    const std::size_t lanes = std::min(L, num_streams - g);
-    const P d = P::load(mad + g);
-    double* dst[L] = {};
-    for (std::size_t l = 0; l < lanes; ++l) dst[l] = streams[g + l].data();
-    std::size_t k = 0;
-    if (lanes == L) {
-      // L×L blocks: L pack loads down the rows, an in-register transpose,
-      // L contiguous pack stores across the streams. Each element still
-      // sees its one IEEE divide; only the store pattern changes.
-      for (; k + L <= n; k += L) {
-        P v[L];
-        for (std::size_t r = 0; r < L; ++r) {
-          v[r] = P::load(rows + (k + r) * stride + g) / d;
-        }
-        for (std::size_t l = 0; l < L; ++l) {
-          P w;
-          for (std::size_t r = 0; r < L; ++r) w.lane[r] = v[r].lane[l];
-          w.store(dst[l] + k);
-        }
-      }
-    }
-    for (; k < n; ++k) {
-      const P v = P::load(rows + k * stride + g) / d;
-      for (std::size_t l = 0; l < lanes; ++l) dst[l][k] = v.lane[l];
+  for (std::size_t k = 0; k < n; ++k) {
+    double* row = rows + k * stride;
+    for (std::size_t g = 0; g < stride; g += simd::kLanes) {
+      (P::load(row + g) / P::load(mad + g)).store(row + g);
     }
   }
 }
 
 }  // namespace
 
-PacketSpan packet_span(const wifi::CaptureTrace& trace,
-                       MeasurementSource source) {
-  const bool want_csi = source == MeasurementSource::kCsi;
-  PacketSpan span;
-  for (const auto& rec : trace) {
-    if (want_csi && !rec.has_csi) continue;
-    if (span.packets == 0) span.first_us = rec.timestamp_us;
-    span.last_us = rec.timestamp_us;
-    ++span.packets;
-  }
-  return span;
+void copy_stream(const ConditionedTrace& ct, std::size_t stream,
+                 ConditionedTrace& out) {
+  WB_REQUIRE(stream < ct.num_streams(), "stream index out of range");
+  WB_REQUIRE(&ct != &out, "a stream copy needs a separate output trace");
+  const std::size_t n = ct.num_packets();
+  out.resize(1, n);
+  std::copy(ct.timestamps.begin(), ct.timestamps.end(),
+            out.timestamps.begin());
+  std::fill(out.rows.begin(), out.rows.end(), 0.0);
+  for (std::size_t k = 0; k < n; ++k) out.at(k, 0) = ct.at(k, stream);
 }
 
 PacketSpan packet_span(const ConditionedTrace& ct) {
@@ -294,10 +259,35 @@ PacketSpan packet_span(const ConditionedTrace& ct) {
   return span;
 }
 
-void condition_into(const wifi::CaptureTrace& trace, MeasurementSource source,
-                    TimeUs movavg_window_us, DecodeWorkspace& ws,
-                    ConditionedTrace& out, TimeUs keep_from_us,
-                    TimeUs keep_to_us) {
+PacketSpan collect_records(const wifi::CaptureTrace& trace,
+                           MeasurementSource source, DecodeWorkspace& ws) {
+  // For CSI, records without CSI (beacons on the paper's NIC) are skipped
+  // entirely; for RSSI every record counts. The sortedness check rides
+  // the same walk: the timestamp shares its cache line with has_csi.
+  const bool want_csi = source == MeasurementSource::kCsi;
+  ws.records.resize(trace.size());
+  std::size_t n = 0;
+  bool sorted = true;
+  for (const auto& rec : trace) {
+    if (want_csi && !rec.has_csi) continue;
+    sorted = sorted && (n == 0 || !(rec.timestamp_us <
+                                    ws.records[n - 1]->timestamp_us));
+    ws.records[n++] = &rec;
+  }
+  ws.records.resize(n);
+  WB_REQUIRE(sorted, "capture timestamps must be non-decreasing");
+  PacketSpan span;
+  span.packets = n;
+  if (n > 0) {
+    span.first_us = ws.records.front()->timestamp_us;
+    span.last_us = ws.records.back()->timestamp_us;
+  }
+  return span;
+}
+
+void condition_records(MeasurementSource source, TimeUs movavg_window_us,
+                       DecodeWorkspace& ws, ConditionedTrace& out,
+                       TimeUs keep_from_us, TimeUs keep_to_us) {
   WB_REQUIRE(movavg_window_us > TimeUs{},
              "moving-average window must be positive");
   obs::ScopedTimer timer("reader.conditioning.wall_us");
@@ -305,51 +295,35 @@ void condition_into(const wifi::CaptureTrace& trace, MeasurementSource source,
   const bool want_csi = source == MeasurementSource::kCsi;
   const std::size_t num_streams =
       want_csi ? wifi::kNumCsiStreams : phy::kNumAntennas;
+  const auto& recs = ws.records;
+  const std::size_t n = recs.size();
+  const auto earlier = [](const wifi::CaptureRecord* r, TimeUs t) {
+    return r->timestamp_us < t;
+  };
+  // The kept records are the run stamped in [keep_from_us, keep_to_us):
+  // collect_records checked that the records are sorted.
+  const auto keep_lo = static_cast<std::size_t>(
+      std::lower_bound(recs.begin(), recs.end(), keep_from_us, earlier) -
+      recs.begin());
+  const auto keep_hi = std::max(
+      keep_lo, static_cast<std::size_t>(
+                   std::lower_bound(recs.begin(), recs.end(), keep_to_us,
+                                    earlier) -
+                   recs.begin()));
+  const std::size_t kept = keep_hi - keep_lo;
 
-  // The usable records, in capture order: for CSI, records without CSI
-  // (beacons on the paper's NIC) are skipped entirely; for RSSI every
-  // record counts. The kept records are the run stamped in
-  // [keep_from_us, keep_to_us) (a run, since the timestamps are sorted,
-  // which the kernel checks).
-  ws.records.resize(trace.size());
-  std::size_t n = 0;
-  std::size_t keep_lo = 0;
-  std::size_t kept = 0;
-  for (const auto& rec : trace) {
-    if (want_csi && !rec.has_csi) continue;
-    ws.records[n++] = &rec;
-    if (rec.timestamp_us < keep_from_us) {
-      ++keep_lo;
-    } else if (rec.timestamp_us < keep_to_us) {
-      ++kept;
-    }
+  // The kept records are centered straight into out.rows (DESIGN.md §15),
+  // then divided in place by their lanes' whole-trace MAD.
+  out.resize(num_streams, kept);
+  for (std::size_t k = 0; k < kept; ++k) {
+    out.timestamps[k] = recs[keep_lo + k]->timestamp_us;
   }
-  ws.records.resize(n);
-
-  // Kept rows are row-major [packet][lane] (DESIGN.md §15): one lane per
-  // stream, the stride padded up to the pack width with zeroed lanes
-  // that ride through the transpose as inert columns.
-  const std::size_t stride =
-      (num_streams + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
-  ws.centered_rows.resize(kept * stride);
+  const std::size_t stride = out.stride();
   ws.row_sums.resize(stride);
   ws.row_mads.resize(stride);
-  center_records(ws.records, want_csi, movavg_window_us, keep_lo,
-                 keep_lo + kept, stride, ws.row_sums, ws.row_mads,
-                 ws.centered_rows);
-
-  out.timestamps.resize(kept);
-  for (std::size_t k = 0; k < kept; ++k) {
-    out.timestamps[k] = ws.records[keep_lo + k]->timestamp_us;
-  }
-  out.streams.resize(num_streams);
-  for (std::size_t s = 0; s < num_streams; ++s) {
-    out.streams[s].resize(kept);
-  }
-  // The normalise divide rides the transpose, so each kept value is
-  // divided once by its stream's whole-trace MAD.
-  transpose_divide_rows(ws.centered_rows.data(), stride, kept,
-                        ws.row_mads.data(), num_streams, out.streams);
+  center_records(recs, want_csi, movavg_window_us, keep_lo, keep_hi, stride,
+                 ws.row_sums, ws.row_mads, out.rows);
+  divide_rows(out.rows.data(), kept, stride, ws.row_mads.data());
   if (auto* m = obs::metrics()) {
     m->counter("reader.conditioning.traces_total").add(1);
     m->counter("reader.conditioning.packets_total").add(n);
@@ -367,6 +341,14 @@ void condition_into(const wifi::CaptureTrace& trace, MeasurementSource source,
       fx->record_decode(obs::DropStage::kConditioning);
     }
   }
+}
+
+void condition_into(const wifi::CaptureTrace& trace, MeasurementSource source,
+                    TimeUs movavg_window_us, DecodeWorkspace& ws,
+                    ConditionedTrace& out) {
+  collect_records(trace, source, ws);
+  condition_records(source, movavg_window_us, ws, out, -TimeUs::max(),
+                    TimeUs::max());
 }
 
 ConditionedTrace condition(const wifi::CaptureTrace& trace,

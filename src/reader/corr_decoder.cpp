@@ -22,6 +22,44 @@ namespace {
 /// preamble.
 constexpr double kClippedDistrustFraction = 0.05;
 
+/// Clamps `n` rows of `stride` lanes to +-kClipSigma into `out` (the pack
+/// clamp is std::clamp lane for lane) and returns how many of the real
+/// lanes [0, num_streams) lay outside the band. Each clamped sample adds
+/// an exact 1.0 to its lane's count, so the count is an exact integer
+/// whatever order the lanes are summed in.
+WB_SIMD_MULTIVERSION
+std::size_t winsorise_rows(const double* rows, std::size_t n,
+                           std::size_t num_streams, std::size_t stride,
+                           double* out) {
+  using P = simd::dpack;
+  constexpr std::size_t L = simd::kLanes;
+  const P lo = P::broadcast(-kClipSigma);
+  const P hi = P::broadcast(kClipSigma);
+  // Lanes [0, whole) fill whole packs of real streams; the pack at
+  // `whole`, when there is one, mixes the last real lanes with padding.
+  const std::size_t whole = num_streams / L * L;
+  P real = P::zero();
+  for (std::size_t l = 0; l < L; ++l) {
+    real.lane[l] = whole + l < num_streams ? 1.0 : 0.0;
+  }
+  P count = P::zero();
+  for (std::size_t k = 0; k < n; ++k) {
+    const double* src = rows + k * stride;
+    double* dst = out + k * stride;
+    for (std::size_t g = 0; g < whole; g += L) {
+      const P v = P::load(src + g);
+      count += P::less(hi, v) + P::less(v, lo);
+      P::clamp(v, lo, hi).store(dst + g);
+    }
+    if (whole < stride) {
+      const P v = P::load(src + whole);
+      count += (P::less(hi, v) + P::less(v, lo)) * real;
+      P::clamp(v, lo, hi).store(dst + whole);
+    }
+  }
+  return static_cast<std::size_t>(count.hsum());
+}
+
 }  // namespace
 
 CodedUplinkDecoder::CodedUplinkDecoder(CodedDecoderConfig cfg)
@@ -120,42 +158,19 @@ void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
   }
 
   // Winsorise against correlated outliers (see kClipSigma) into the
-  // workspace copy. Vectorised elementwise (pack clamp matches std::clamp
-  // lane for lane); the clamp count is an exact integer however the lanes
-  // are summed, so the per-lane counters can be folded with one hsum.
-  using P = simd::dpack;
-  const P lo = P::broadcast(-kClipSigma);
-  const P hi = P::broadcast(kClipSigma);
-  double clamped = 0.0;
-  std::size_t total = 0;
-  ws.clipped.timestamps.assign(ct_in.timestamps.begin(),
-                               ct_in.timestamps.end());
-  ws.clipped.streams.resize(ct_in.streams.size());
-  for (std::size_t s = 0; s < ct_in.streams.size(); ++s) {
-    const auto& src = ct_in.streams[s];
-    auto& dst = ws.clipped.streams[s];
-    dst.resize(src.size());
-    const std::size_t main = src.size() - src.size() % simd::kLanes;
-    P cnt = P::zero();
-    for (std::size_t k = 0; k < main; k += simd::kLanes) {
-      const P v = P::load(src.data() + k);
-      P over;
-      for (std::size_t l = 0; l < simd::kLanes; ++l) {
-        over.lane[l] =
-            (v.lane[l] > kClipSigma || v.lane[l] < -kClipSigma) ? 1.0 : 0.0;
-      }
-      cnt += over;
-      P::clamp(v, lo, hi).store(dst.data() + k);
-    }
-    clamped += cnt.hsum();
-    for (std::size_t k = main; k < src.size(); ++k) {
-      if (src[k] > kClipSigma || src[k] < -kClipSigma) clamped += 1.0;
-      dst[k] = std::clamp(src[k], -kClipSigma, kClipSigma);
-    }
-    total += src.size();
-  }
+  // workspace rows, in one pass that also counts the clamped samples.
+  WB_REQUIRE(ct_in.rows.size() == ct_in.num_packets() * ct_in.stride(),
+             "conditioned rows must cover every packet");
+  ws.clipped.resize(ct_in.num_streams(), ct_in.num_packets());
+  std::copy(ct_in.timestamps.begin(), ct_in.timestamps.end(),
+            ws.clipped.timestamps.begin());
+  const std::size_t clamped =
+      winsorise_rows(ct_in.rows.data(), ct_in.num_packets(),
+                     ct_in.num_streams(), ct_in.stride(),
+                     ws.clipped.rows.data());
+  const std::size_t total = ct_in.num_packets() * ct_in.num_streams();
   out.clipped_fraction =
-      total > 0 ? clamped / static_cast<double>(total) : 0.0;
+      static_cast<double>(clamped) / static_cast<double>(total);
   const ConditionedTrace& ct = ws.clipped;
 
   const std::size_t g = std::min(cfg_.num_good_streams, ct.num_streams());
@@ -230,12 +245,14 @@ void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
                     ws.sync_edges);
     double combined = 0.0;
     for (std::size_t i = 0; i < out.streams.size(); ++i) {
-      const double* xs = ct.streams[out.streams[i]].data();
+      const std::size_t s = out.streams[i];
       double diff = 0.0;  // corr(one) - corr(zero)
       for (std::size_t c = 0; c < l; ++c) {
         if (edges[c + 1] == edges[c]) continue;
         double sum = 0.0;
-        for (std::size_t p = edges[c]; p < edges[c + 1]; ++p) sum += xs[p];
+        for (std::size_t p = edges[c]; p < edges[c + 1]; ++p) {
+          sum += ct.at(p, s);
+        }
         diff += (sum / static_cast<double>(edges[c + 1] - edges[c])) *
                 code_diff_bipolar_[c];
       }

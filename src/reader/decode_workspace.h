@@ -32,10 +32,6 @@ struct DecodeWorkspace {
   // -- conditioning (condition_into, DESIGN.md §15) --
   /// The usable records, read in place by the centering kernel.
   std::vector<const wifi::CaptureRecord*> records;
-  /// Centered kept rows, row-major [packet][lane]: one lane per stream,
-  /// the stride padded up to a multiple of simd::kLanes (padding lanes
-  /// carry zeros).
-  std::vector<double> centered_rows;
   std::vector<double> row_sums;       ///< per-lane window-sum scratch
   std::vector<double> row_mads;       ///< per-lane MAD divisors
 
@@ -49,7 +45,9 @@ struct DecodeWorkspace {
   /// First packet of each slot (slot_edges_into): the search's grid, or
   /// the coded decoder's current payload chip block.
   std::vector<std::size_t> sync_edges;
-  std::vector<double> sync_means;        ///< one stream's slot means
+  /// Slot means of every stream lane, [grid slot][lane].
+  std::vector<double> sync_means;
+  std::vector<double> sync_lane_corrs;   ///< one candidate's lane chains
   /// Slots with at least one packet in the current sync_search candidate.
   std::size_t bin_filled = 0;
   std::vector<std::size_t> order;        ///< stream ranking scratch
@@ -68,7 +66,7 @@ struct DecodeWorkspace {
   /// decode_into's conditioning output: the uplink decoder keeps only the
   /// span its search reads, the coded decoder the whole trace.
   ConditionedTrace conditioned;
-  ConditionedTrace clipped;      ///< coded decoder's winsorised copy
+  ConditionedTrace clipped;      ///< coded decoder's winsorised rows
 };
 
 }  // namespace wb::reader

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "util/check.h"
+#include "util/simd.h"
 
 namespace wb::reader {
 
@@ -28,6 +29,64 @@ bool fill_passes(std::size_t filled, double min_filled) {
   return static_cast<double>(filled) >= min_filled && filled > 0;
 }
 
+/// The lane kernel of correlate_group, over packs of simd::kLanes streams
+/// (DESIGN.md §10). Each lane replays one stream's scalar chains: a grid
+/// slot's sum is the packet-order chain from 0.0, divided once by the
+/// slot's count, and a member's correlation is the slot-order chain
+/// corr + mean * tmpl[i] over its non-empty slots, divided once by its
+/// filled count (+0.0 when it fails the fill gate). Only the real lanes
+/// of a member's correlations reach its row of ws.sync_corrs.
+WB_SIMD_MULTIVERSION
+void correlate_lanes(const ConditionedTrace& ct, std::span<const double> tmpl,
+                     double min_filled, std::size_t first,
+                     std::size_t members, std::size_t stride,
+                     std::size_t shift, bool any, DecodeWorkspace& ws) {
+  using P = simd::dpack;
+  constexpr std::size_t L = simd::kLanes;
+  const std::size_t nslots = tmpl.size();
+  const std::size_t nstreams = ct.num_streams();
+  const std::size_t lanes = ct.stride();
+  const std::size_t grid = (members - 1) * shift + nslots;
+  const std::size_t* edges = ws.sync_edges.data();
+  double* means = ws.sync_means.data();
+  double* corr = ws.sync_lane_corrs.data();
+  if (any) {
+    for (std::size_t m = 0; m < grid; ++m) {
+      if (edges[m + 1] == edges[m]) continue;
+      const P count =
+          P::broadcast(static_cast<double>(edges[m + 1] - edges[m]));
+      for (std::size_t g = 0; g < lanes; g += L) {
+        P sum = P::zero();
+        for (std::size_t p = edges[m]; p < edges[m + 1]; ++p) {
+          sum += P::load(ct.row(p) + g);
+        }
+        (sum / count).store(means + m * lanes + g);
+      }
+    }
+  }
+  for (std::size_t t = 0; t < members; ++t) {
+    const std::size_t j = first + t * stride;
+    const std::size_t filled = ws.sync_filled[j];
+    for (std::size_t g = 0; g < lanes; g += L) P::zero().store(corr + g);
+    if (fill_passes(filled, min_filled)) {
+      for (std::size_t i = 0; i < nslots; ++i) {
+        const std::size_t m = t * shift + i;
+        if (edges[m + 1] == edges[m]) continue;
+        const P w = P::broadcast(tmpl[i]);
+        const double* row = means + m * lanes;
+        for (std::size_t g = 0; g < lanes; g += L) {
+          P::mul_add(P::load(row + g), w, P::load(corr + g)).store(corr + g);
+        }
+      }
+      const P f = P::broadcast(static_cast<double>(filled));
+      for (std::size_t g = 0; g < lanes; g += L) {
+        (P::load(corr + g) / f).store(corr + g);
+      }
+    }
+    std::copy(corr, corr + nstreams, ws.sync_corrs.data() + j * nstreams);
+  }
+}
+
 /// Correlates the block candidates first, first + stride, ... (`members`
 /// of them), which share one slot grid from `origin_us`: member t's window
 /// is grid slots [t*shift, t*shift + tmpl.size()). Writes each member's
@@ -39,7 +98,6 @@ void correlate_group(const ConditionedTrace& ct, std::span<const double> tmpl,
                      std::size_t stride, std::size_t shift,
                      DecodeWorkspace& ws) {
   const std::size_t nslots = tmpl.size();
-  const std::size_t nstreams = ct.num_streams();
   const std::size_t grid = (members - 1) * shift + nslots;
 
   // Grid slot m holds packets [edges[m], edges[m + 1]): the packets a
@@ -59,36 +117,9 @@ void correlate_group(const ConditionedTrace& ct, std::span<const double> tmpl,
     ws.sync_filled[first + t * stride] = filled;
     any = any || fill_passes(filled, min_filled);
   }
-
-  auto& means = ws.sync_means;
-  means.resize(grid);
-  for (std::size_t s = 0; s < nstreams; ++s) {
-    if (any) {
-      // Each slot's sum is the packet-order chain from 0.0, divided once
-      // by its count.
-      const double* xs = ct.streams[s].data();
-      for (std::size_t m = 0; m < grid; ++m) {
-        if (empty(m)) continue;
-        double sum = 0.0;
-        for (std::size_t p = edges[m]; p < edges[m + 1]; ++p) sum += xs[p];
-        means[m] = sum / static_cast<double>(edges[m + 1] - edges[m]);
-      }
-    }
-    for (std::size_t t = 0; t < members; ++t) {
-      const std::size_t j = first + t * stride;
-      const std::size_t filled = ws.sync_filled[j];
-      double corr = 0.0;
-      if (fill_passes(filled, min_filled)) {
-        for (std::size_t i = 0; i < nslots; ++i) {
-          const std::size_t m = t * shift + i;
-          if (empty(m)) continue;
-          corr += means[m] * tmpl[i];
-        }
-        corr /= static_cast<double>(filled);
-      }
-      ws.sync_corrs[j * nstreams + s] = corr;
-    }
-  }
+  ws.sync_means.resize(grid * ct.stride());
+  correlate_lanes(ct, tmpl, min_filled, first, members, stride, shift, any,
+                  ws);
 }
 
 /// Ranks the streams by |ws.corrs| into ws.order; returns the mean |corr|
@@ -117,12 +148,11 @@ void sync_search(const ConditionedTrace& ct, std::span<const double> tmpl,
   WB_REQUIRE(g > 0 && g <= nstreams, "rank size must be in [1, streams]");
   WB_REQUIRE(slot_us > TimeUs{}, "slot duration must be positive");
   WB_REQUIRE(step_us > TimeUs{}, "candidate step must be positive");
-  for (const auto& xs : ct.streams) {
-    WB_REQUIRE(xs.size() == ct.timestamps.size(),
-               "conditioned stream must cover every packet");
-  }
+  WB_REQUIRE(ct.rows.size() == ct.num_packets() * ct.stride(),
+             "conditioned rows must cover every packet");
   if (to_us < from_us) return;
   const auto ncand = static_cast<std::size_t>((to_us - from_us) / step_us) + 1;
+  ws.sync_lane_corrs.resize(ct.stride());
 
   // Candidates j and j + period start `shift` whole slots apart, so their
   // slot boundaries coincide: the starts fall into `period` phases, and

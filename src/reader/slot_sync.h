@@ -8,9 +8,12 @@
 // sync_search runs a whole search on a phase grid (DESIGN.md §10).
 // Candidate starts whose slot boundaries coincide share their slots, so
 // a block of candidates bins and sums each slot once instead of once per
-// candidate that covers it. Every slot sum is still the packet-order
+// candidate that covers it. It reads the conditioned trace's rows across
+// their stream lanes, a pack of streams at a time, and every lane replays
+// one stream's scalar chains: each slot sum is still the packet-order
 // chain 0.0 + x0 + x1 + ... that a lone probe of one candidate computes,
-// so each candidate's result is bit-identical to probing it alone.
+// so each candidate's result is bit-identical to probing it alone, one
+// stream at a time.
 //
 // slot_edges_into is the one binner: it finds each slot's first packet,
 // and a slot's mean is the sum of its packets in packet order, from 0.0,
@@ -48,8 +51,9 @@ void slot_edges_into(const std::vector<TimeUs>& ts, TimeUs origin_us,
 /// Candidates that sync_search bins and ranks in one pass. It bounds the
 /// search's workspace scratch whatever the search length and step:
 /// ws.sync_corrs holds at most kSyncBlock x streams correlations,
-/// ws.sync_filled kSyncBlock counts, ws.sync_means kSyncBlock x
-/// tmpl.size() slot means and ws.sync_edges one more entry than that.
+/// ws.sync_filled kSyncBlock counts, ws.sync_means the lane means of at
+/// most kSyncBlock x tmpl.size() slots and ws.sync_edges one more entry
+/// than that.
 inline constexpr std::size_t kSyncBlock = 64;
 
 /// Non-owning reference to the callable that sync_search hands each

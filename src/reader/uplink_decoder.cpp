@@ -11,7 +11,6 @@
 #include "reader/slot_sync.h"
 #include "util/check.h"
 #include "util/dsp.h"
-#include "util/simd.h"
 #include "wifi/trace_io.h"
 
 namespace wb::reader {
@@ -111,7 +110,6 @@ double UplinkDecoder::preamble_noise_variance(const ConditionedTrace& ct,
                                               TimeUs start_us) const {
   WB_REQUIRE(stream < ct.num_streams(), "stream index out of range");
   const auto& ts = ct.timestamps;
-  const auto& xs = ct.streams[stream];
   const TimeUs end =
       start_us + cfg_.bit_duration_us *
                      static_cast<std::int64_t>(cfg_.preamble.size());
@@ -121,7 +119,7 @@ double UplinkDecoder::preamble_noise_variance(const ConditionedTrace& ct,
        k < ts.size() && ts[k] < end; ++k) {
     const auto bit = static_cast<std::size_t>((ts[k] - start_us) /
                                               cfg_.bit_duration_us);
-    const double r = polarity * xs[k] - preamble_bipolar_[bit];
+    const double r = polarity * ct.at(k, stream) - preamble_bipolar_[bit];
     sum += r;
     sum2 += r * r;
     ++n;
@@ -152,14 +150,13 @@ void UplinkDecoder::decode_into(const wifi::CaptureTrace& trace,
   // Sync reads the slots of candidates [from, to], the preamble variance
   // and MRC the frame from the chosen start, so nothing past
   // to + frame_duration or before from is read: conditioning keeps only
-  // that span. The search range comes from the raw trace, exactly as
-  // find_frame would derive it from the whole conditioned trace.
-  const PacketSpan whole = packet_span(trace, cfg_.source);
+  // that span. The search range comes from the usable records, exactly
+  // as find_frame would derive it from the whole conditioned trace.
+  const PacketSpan whole = collect_records(trace, cfg_.source, ws);
   const SearchRange range =
       whole.packets > 0 ? search_range(whole) : SearchRange{};
-  condition_into(trace, cfg_.source, cfg_.movavg_window_us, ws,
-                 ws.conditioned, range.from,
-                 range.to + cfg_.frame_duration_us());
+  condition_records(cfg_.source, cfg_.movavg_window_us, ws, ws.conditioned,
+                    range.from, range.to + cfg_.frame_duration_us());
   decode_span_into(ws.conditioned, whole, ws, out);
   // This overload still holds the raw capture, so it is the one place a
   // failed attempt can leave a replayable exemplar behind. wants_exemplar
@@ -266,11 +263,10 @@ void UplinkDecoder::decode_span_into(const ConditionedTrace& ct,
     }
   }
 
-  // Combined signal y_k over the whole frame interval, vectorised over
-  // time (DESIGN.md §15): y starts at zero and the selected streams are
-  // accumulated one at a time in selection order, so every y_k replays the
-  // scalar chain ((0 + w0*p0*x0) + w1*p1*x1) + ... before one division by
-  // wsum — bit-identical to the per-packet scalar loop.
+  // Combined signal y_k over the whole frame interval: per packet, the
+  // chain ((0 + w0*p0*x0) + w1*p1*x1) + ... over the selected streams in
+  // selection order, read from the packet's row, then one division by
+  // wsum.
   const auto& ts = ct.timestamps;
   const TimeUs frame_end = start + cfg_.frame_duration_us();
   const std::size_t k0 = lower_index(ts, start);
@@ -278,33 +274,20 @@ void UplinkDecoder::decode_span_into(const ConditionedTrace& ct,
   const std::size_t nwin = k1 - k0;
   auto& y = ws.y;
   auto& yt = ws.yt;
-  y.assign(nwin, 0.0);
+  y.resize(nwin);
   yt.assign(ts.begin() + static_cast<std::ptrdiff_t>(k0),
             ts.begin() + static_cast<std::ptrdiff_t>(k1));
   double wsum = 0.0;
   for (double w : out.weights) wsum += w;
   if (wsum <= 0.0) wsum = 1.0;
-  using P = simd::dpack;
-  const std::size_t main = nwin - nwin % simd::kLanes;
-  for (std::size_t i = 0; i < out.streams.size(); ++i) {
-    // (w*p) is what the scalar expression w * p * x multiplies x by
-    // (left-to-right association), so hoisting the product is exact.
-    const double wp = out.weights[i] * out.polarity[i];
-    const P wpv = P::broadcast(wp);
-    const double* x = ct.streams[out.streams[i]].data() + k0;
-    for (std::size_t k = 0; k < main; k += simd::kLanes) {
-      P::mul_add(wpv, P::load(x + k), P::load(y.data() + k))
-          .store(y.data() + k);
+  for (std::size_t k = 0; k < nwin; ++k) {
+    const double* row = ct.row(k0 + k);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < out.streams.size(); ++i) {
+      acc = out.weights[i] * out.polarity[i] * row[out.streams[i]] + acc;
     }
-    for (std::size_t k = main; k < nwin; ++k) {
-      y[k] = wp * x[k] + y[k];
-    }
+    y[k] = acc / wsum;
   }
-  const P wsv = P::broadcast(wsum);
-  for (std::size_t k = 0; k < main; k += simd::kLanes) {
-    (P::load(y.data() + k) / wsv).store(y.data() + k);
-  }
-  for (std::size_t k = main; k < nwin; ++k) y[k] = y[k] / wsum;
   out.packets_used = y.size();
 
   // Hysteresis thresholds from the combined signal's own statistics

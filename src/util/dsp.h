@@ -32,19 +32,6 @@ std::vector<double> normalize_mad(std::span<const double> x);
 /// elements it already overwrote. Bit-identical to the allocating wrapper.
 void normalize_mad(std::span<const double> x, std::span<double> out);
 
-/// Stream-batched normalize_mad divisors over a row-major [row][lane]
-/// matrix (DESIGN.md §15): `rows` holds `n_rows` rows of `stride` lanes
-/// each, `stride` a multiple of simd::kLanes (callers pad). Writes each
-/// lane column's mean absolute value into `mad_out[c]`, with degenerate
-/// columns (mad <= 0) replaced by 1.0 so dividing by the result is always
-/// safe and an exact copy for all-zero columns. An empty matrix
-/// (n_rows == 0) makes every column degenerate: all divisors are 1.0.
-/// Accumulation is in row (= time) order per column, replaying the scalar
-/// normalize_mad chain; conditioning fuses the divide into its transpose.
-/// `mad_out` must not alias `rows`.
-void mad_rows(std::span<const double> rows, std::size_t stride,
-              std::size_t n_rows, std::span<double> mad_out);
-
 /// Sample mean.
 double mean(std::span<const double> x);
 

@@ -242,6 +242,20 @@ struct pack {
     return min(max(v, lo), hi);
   }
 
+  /// Per-lane comparison as a number: a < b ? T{1} : T{0}. Summing these
+  /// counts lanes exactly (for doubles, up to 2^53 per lane).
+  WB_SIMD_INLINE static pack less(pack a, pack b) {
+    pack r;
+    if constexpr (kNative) {
+      r.lane = a.lane < b.lane ? broadcast(T{1}).lane : zero().lane;
+    } else {
+      for (std::size_t i = 0; i < N; ++i) {
+        r.lane[i] = a.lane[i] < b.lane[i] ? T{1} : T{0};
+      }
+    }
+    return r;
+  }
+
   /// Per-lane absolute value: exactly the scalar chain `v < 0 ? -v : v`
   /// (comparison + negation). Note -0.0 compares equal to 0.0, so it is
   /// returned unchanged — unlike std::abs. The decode kernels only ever

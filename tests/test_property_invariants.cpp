@@ -8,6 +8,7 @@
 #include "reader/downlink_encoder.h"
 #include "reader/uplink_decoder.h"
 #include "tag/modulator.h"
+#include "trace_columns.h"
 #include "util/crc.h"
 #include "wifi/traffic.h"
 
@@ -94,7 +95,7 @@ TEST_P(SeededProperty, ConditioningPreservesShape) {
     EXPECT_GE(ct.timestamps[i], ct.timestamps[i - 1]);
   }
   // Every stream zero-mean-ish after conditioning.
-  for (const auto& s : ct.streams) {
+  for (const auto& s : reader::test::columns(ct)) {
     double mean = 0.0;
     for (double v : s) mean += v;
     mean /= static_cast<double>(s.size());
@@ -105,15 +106,17 @@ TEST_P(SeededProperty, ConditioningPreservesShape) {
 TEST_P(SeededProperty, DecoderOutputLengthAlwaysPayloadBits) {
   const std::uint64_t seed = GetParam();
   sim::RngStream rng(seed);
-  reader::ConditionedTrace ct;
   const std::size_t n = 500;
+  std::vector<TimeUs> ts;
   for (std::size_t i = 0; i < n; ++i) {
-    ct.timestamps.push_back(static_cast<TimeUs>(i) * 400);
+    ts.push_back(static_cast<TimeUs>(i) * 400);
   }
-  ct.streams.resize(5);
-  for (auto& s : ct.streams) {
+  std::vector<std::vector<double>> streams(5);
+  for (auto& s : streams) {
     for (std::size_t i = 0; i < n; ++i) s.push_back(rng.normal());
   }
+  const reader::ConditionedTrace ct =
+      reader::test::from_columns(std::move(ts), streams);
   reader::UplinkDecoderConfig cfg;
   cfg.payload_bits = 7 + seed % 20;
   cfg.bit_duration_us = TimeUs{4'000};

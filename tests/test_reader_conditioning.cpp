@@ -11,6 +11,7 @@
 
 #include "reader/decode_workspace.h"
 #include "sim/rng.h"
+#include "trace_columns.h"
 #include "util/check.h"
 #include "util/dsp.h"
 
@@ -91,7 +92,7 @@ TEST(Conditioning, CsiTraceShapes) {
   const auto ct = condition(trace, MeasurementSource::kCsi, TimeUs{20'000});
   EXPECT_EQ(ct.num_streams(), wifi::kNumCsiStreams);
   EXPECT_EQ(ct.num_packets(), 50u);
-  for (const auto& s : ct.streams) {
+  for (const auto& s : test::columns(ct)) {
     EXPECT_EQ(s.size(), 50u);
   }
 }
@@ -129,9 +130,10 @@ TEST(Conditioning, NormalisedToUnitMeanAbs) {
     trace.push_back(record_at(TimeUs{i * 1'000}, 4.0 + 0.5 * (i % 2), -40.0));
   }
   const auto ct = condition(trace, MeasurementSource::kCsi, TimeUs{20'000});
+  const auto s0 = test::column(ct, 0);
   double mad = 0.0;
-  for (double v : ct.streams[0]) mad += std::abs(v);
-  mad /= static_cast<double>(ct.streams[0].size());
+  for (double v : s0) mad += std::abs(v);
+  mad /= static_cast<double>(s0.size());
   EXPECT_NEAR(mad, 1.0, 1e-9);
 }
 
@@ -144,7 +146,7 @@ TEST(Conditioning, SquareWaveMapsNearPlusMinusOne) {
   const auto ct = condition(trace, MeasurementSource::kCsi, TimeUs{100'000});
   // Interior samples should sit near +1 / -1 (paper §3.2's target).
   for (std::size_t i = 100; i < 300; ++i) {
-    EXPECT_NEAR(std::abs(ct.streams[0][i]), 1.0, 0.25) << i;
+    EXPECT_NEAR(std::abs(ct.at(i, 0)), 1.0, 0.25) << i;
   }
 }
 
@@ -161,15 +163,15 @@ TEST(Conditioning, EmptyTrace) {
 ConditionedTrace condition_scalar_reference(const wifi::CaptureTrace& trace,
                                             MeasurementSource source,
                                             TimeUs window_us) {
-  ConditionedTrace out;
+  std::vector<TimeUs> ts;
   const bool want_csi = source == MeasurementSource::kCsi;
   const std::size_t num_streams =
       want_csi ? wifi::kNumCsiStreams : phy::kNumAntennas;
   for (const auto& rec : trace) {
     if (want_csi && !rec.has_csi) continue;
-    out.timestamps.push_back(rec.timestamp_us);
+    ts.push_back(rec.timestamp_us);
   }
-  out.streams.resize(num_streams);
+  std::vector<std::vector<double>> streams(num_streams);
   std::vector<double> raw, centered;
   for (std::size_t s = 0; s < num_streams; ++s) {
     raw.clear();
@@ -180,13 +182,13 @@ ConditionedTrace condition_scalar_reference(const wifi::CaptureTrace& trace,
                              : rec.rssi_dbm[s]);
     }
     centered.assign(raw.size(), 0.0);
-    remove_time_moving_average(std::span<const TimeUs>(out.timestamps),
+    remove_time_moving_average(std::span<const TimeUs>(ts),
                                std::span<const double>(raw), window_us,
                                centered);
-    out.streams[s].assign(raw.size(), 0.0);
-    normalize_mad(centered, out.streams[s]);
+    streams[s].assign(raw.size(), 0.0);
+    normalize_mad(centered, streams[s]);
   }
-  return out;
+  return test::from_columns(std::move(ts), streams);
 }
 
 /// Irregular but sorted timestamps so the window cursors actually move.
@@ -246,17 +248,20 @@ void expect_kept_rows_match(const wifi::CaptureTrace& trace,
       lo, static_cast<std::size_t>(
               std::lower_bound(ts.begin(), ts.end(), to) - ts.begin()));
   ConditionedTrace got;
-  condition_into(trace, source, window, ws, got, from, to);
+  collect_records(trace, source, ws);
+  condition_records(source, window, ws, got, from, to);
   ASSERT_EQ(got.num_streams(), want.num_streams());
   ASSERT_EQ(got.timestamps,
             std::vector<TimeUs>(ts.begin() + static_cast<long>(lo),
                                 ts.begin() + static_cast<long>(hi)));
+  const auto got_streams = test::columns(got);
+  const auto want_streams = test::columns(want);
   for (std::size_t s = 0; s < want.num_streams(); ++s) {
-    ASSERT_EQ(got.streams[s].size(), hi - lo) << "stream " << s;
+    ASSERT_EQ(got_streams[s].size(), hi - lo) << "stream " << s;
     for (std::size_t k = lo; k < hi; ++k) {
-      EXPECT_TRUE(same_bits(got.streams[s][k - lo], want.streams[s][k]))
+      EXPECT_TRUE(same_bits(got_streams[s][k - lo], want_streams[s][k]))
           << "stream " << s << " packet " << k << ": "
-          << got.streams[s][k - lo] << " vs " << want.streams[s][k];
+          << got_streams[s][k - lo] << " vs " << want_streams[s][k];
     }
   }
 }
@@ -355,7 +360,7 @@ TEST(Conditioning, FusedMadOverloadEmptyInputYieldsSafeDivisors) {
                  out);
   EXPECT_EQ(out.num_packets(), 0u);
   ASSERT_EQ(out.num_streams(), wifi::kNumCsiStreams);
-  for (const auto& s : out.streams) EXPECT_TRUE(s.empty());
+  for (const auto& s : test::columns(out)) EXPECT_TRUE(s.empty());
   for (double v : ws.row_mads) EXPECT_EQ(v, 1.0);
   condition_into({}, MeasurementSource::kRssi, TimeUs{2'000}, ws, out);
   EXPECT_EQ(out.num_packets(), 0u);
@@ -415,9 +420,11 @@ TEST(Conditioning, BatchedPipelineBitIdenticalToScalarReference) {
     const auto got = condition(trace, source, TimeUs{20'000});
     const auto want = condition_scalar_reference(trace, source, TimeUs{20'000});
     ASSERT_EQ(got.timestamps, want.timestamps);
-    ASSERT_EQ(got.streams.size(), want.streams.size());
-    for (std::size_t s = 0; s < want.streams.size(); ++s) {
-      EXPECT_EQ(got.streams[s], want.streams[s]) << "stream " << s;
+    const auto got_streams = test::columns(got);
+    const auto want_streams = test::columns(want);
+    ASSERT_EQ(got_streams.size(), want_streams.size());
+    for (std::size_t s = 0; s < want_streams.size(); ++s) {
+      EXPECT_EQ(got_streams[s], want_streams[s]) << "stream " << s;
     }
   }
 }
@@ -429,7 +436,7 @@ TEST(Conditioning, SinglePacketTrace) {
   EXPECT_EQ(ct.num_packets(), 1u);
   // One sample: the moving average equals the sample, so every stream
   // conditions to exactly zero.
-  for (const auto& s : ct.streams) {
+  for (const auto& s : test::columns(ct)) {
     ASSERT_EQ(s.size(), 1u);
     EXPECT_EQ(s[0], 0.0);
   }
@@ -445,7 +452,7 @@ TEST(Conditioning, AllZeroStreamsSurviveConditioning) {
   for (const auto source :
        {MeasurementSource::kCsi, MeasurementSource::kRssi}) {
     const auto ct = condition(trace, source, TimeUs{20'000});
-    for (const auto& s : ct.streams) {
+    for (const auto& s : test::columns(ct)) {
       for (double v : s) EXPECT_EQ(v, 0.0);
     }
   }

@@ -4,6 +4,7 @@
 
 #include "reader/slot_sync.h"
 #include "sim/rng.h"
+#include "trace_columns.h"
 #include "util/check.h"
 
 namespace wb::reader {
@@ -49,14 +50,15 @@ CodedSynthetic make_coded(const CodedSpec& spec) {
       spec.chip_us * static_cast<std::int64_t>(chips.size()) + TimeUs{30'000};
   sim::RngStream rng(spec.seed);
   auto noise_rng = rng.fork("noise");
+  std::vector<TimeUs> ts;
   for (double t = 0.0; t < static_cast<double>(end.ticks());
        t += spec.packet_interval_us) {
-    out.ct.timestamps.push_back(TimeUs{static_cast<std::int64_t>(t)});
+    ts.push_back(TimeUs{static_cast<std::int64_t>(t)});
   }
-  out.ct.streams.resize(spec.num_streams);
+  std::vector<std::vector<double>> streams(spec.num_streams);
   for (std::size_t s = 0; s < spec.num_streams; ++s) {
     const bool good = s < spec.good_streams;
-    for (const TimeUs t : out.ct.timestamps) {
+    for (const TimeUs t : ts) {
       double v = noise_rng.normal(0.0, spec.noise);
       if (good && t >= out.frame_start) {
         const auto chip =
@@ -65,9 +67,10 @@ CodedSynthetic make_coded(const CodedSpec& spec) {
           v += spec.gain * (chips[chip] ? 1.0 : -1.0);
         }
       }
-      out.ct.streams[s].push_back(v);
+      streams[s].push_back(v);
     }
   }
+  out.ct = test::from_columns(std::move(ts), streams);
   return out;
 }
 
@@ -257,15 +260,15 @@ TEST(CodedDecoder, SyncTieBreakKeepsEarliestFrameStart) {
   // Offset by a multiple of the chip duration (and of the default
   // chip/2 sync step) so both starts land on the search grid.
   const TimeUs second = first + TimeUs{400'000};
-  ConditionedTrace ct;
+  std::vector<TimeUs> ts;
   const TimeUs end = second +
                      spec.chip_us * static_cast<std::int64_t>(chips.size()) +
                      TimeUs{30'000};
   for (std::int64_t t = 0; t < end.ticks(); t += 500) {
-    ct.timestamps.push_back(TimeUs{t});
+    ts.push_back(TimeUs{t});
   }
-  ct.streams.resize(1);
-  for (const TimeUs t : ct.timestamps) {
+  std::vector<double> xs;
+  for (const TimeUs t : ts) {
     double v = 0.0;
     for (const TimeUs start : {first, second}) {
       if (t >= start) {
@@ -273,8 +276,9 @@ TEST(CodedDecoder, SyncTieBreakKeepsEarliestFrameStart) {
         if (chip < chips.size()) v = chips[chip] ? 1.0 : -1.0;
       }
     }
-    ct.streams[0].push_back(v);
+    xs.push_back(v);
   }
+  const ConditionedTrace ct = test::from_columns(std::move(ts), {xs});
 
   auto cfg = config_for(spec);
   cfg.num_good_streams = 1;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "sim/rng.h"
+#include "trace_columns.h"
 #include "util/bits.h"
 #include "util/codes.h"
 
@@ -58,10 +59,9 @@ void frozen_bin_window(const ConditionedTrace& ct, TimeUs start_us,
 
 void frozen_bin_stream_sums(const ConditionedTrace& ct, std::size_t stream,
                             FrozenBins& b) {
-  const auto& xs = ct.streams[stream];
   b.sums.assign(b.nslots, 0.0);
   for (std::size_t j = 0; j < b.slot_of.size(); ++j) {
-    b.sums[b.slot_of[j]] += xs[b.first + j];
+    b.sums[b.slot_of[j]] += ct.at(b.first + j, stream);
   }
 }
 
@@ -116,29 +116,29 @@ std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
 /// rest are Gaussian.
 ConditionedTrace bursty_trace(std::size_t nstreams, std::uint64_t seed) {
   sim::RngStream rng(seed);
-  ConditionedTrace ct;
-  ct.streams.resize(nstreams);
+  std::vector<TimeUs> ts;
+  std::vector<std::vector<double>> streams(nstreams);
   TimeUs t{1'000};
   while (t < TimeUs{1'500'000}) {
     const auto burst = 2 + rng.uniform_int(60);
     for (std::uint64_t p = 0; p < burst; ++p) {
-      ct.timestamps.push_back(t);
+      ts.push_back(t);
       t += TimeUs{150 + static_cast<std::int64_t>(rng.uniform_int(400))};
     }
     t += TimeUs{static_cast<std::int64_t>(rng.uniform_int(40'000))};
   }
   for (std::size_t s = 0; s < nstreams; ++s) {
-    for (std::size_t k = 0; k < ct.timestamps.size(); ++k) {
+    for (std::size_t k = 0; k < ts.size(); ++k) {
       double v = 0.0;
       if (s == 1) {
         v = rng.uniform() < 0.5 ? -0.0 : 0.0;
       } else if (s > 1) {
         v = rng.normal();
       }
-      ct.streams[s].push_back(v);
+      streams[s].push_back(v);
     }
   }
-  return ct;
+  return test::from_columns(std::move(ts), streams);
 }
 
 std::vector<double> barker_template() { return to_bipolar(barker13()); }
@@ -340,7 +340,7 @@ TEST(SlotEdges, MeansMatchFrozenBinnerBitForBit) {
           }
           for (std::size_t s = 0; s < ct.num_streams(); ++s) {
             frozen_bin_stream_sums(ct, s, b);
-            const auto& xs = ct.streams[s];
+            const auto xs = test::column(ct, s);
             for (std::size_t c = 0; c < nslots; ++c) {
               if (b.count[c] == 0) continue;
               double sum = 0.0;

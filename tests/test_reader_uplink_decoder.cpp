@@ -6,6 +6,7 @@
 
 #include "reader/slot_sync.h"
 #include "sim/rng.h"
+#include "trace_columns.h"
 #include "util/check.h"
 #include "util/codes.h"
 
@@ -47,16 +48,17 @@ SyntheticTrace make_synthetic(const SyntheticSpec& spec) {
   sim::RngStream rng(spec.seed);
   auto noise_rng = rng.fork("noise");
 
+  std::vector<TimeUs> ts;
   for (double t = 0.0; t < static_cast<double>(end.ticks());
        t += spec.packet_interval_us) {
-    out.ct.timestamps.push_back(TimeUs{static_cast<std::int64_t>(t)});
+    ts.push_back(TimeUs{static_cast<std::int64_t>(t)});
   }
-  out.ct.streams.resize(spec.num_streams);
+  std::vector<std::vector<double>> streams(spec.num_streams);
   for (std::size_t s = 0; s < spec.num_streams; ++s) {
     const bool good = s < spec.good_streams;
     const double polarity =
         (spec.alternate_polarity && s % 2 == 1) ? -1.0 : 1.0;
-    for (const TimeUs t : out.ct.timestamps) {
+    for (const TimeUs t : ts) {
       double v = noise_rng.normal(0.0, spec.noise);
       if (good && t >= out.frame_start) {
         const auto bit =
@@ -65,9 +67,10 @@ SyntheticTrace make_synthetic(const SyntheticSpec& spec) {
           v += polarity * spec.gain * (frame[bit] ? 1.0 : -1.0);
         }
       }
-      out.ct.streams[s].push_back(v);
+      streams[s].push_back(v);
     }
   }
+  out.ct = test::from_columns(std::move(ts), streams);
   return out;
 }
 
@@ -112,16 +115,16 @@ double slot_mean(const ConditionedTrace& ct,
                  const std::vector<std::size_t>& edges, std::size_t m) {
   double sum = 0.0;
   for (std::size_t p = edges[m]; p < edges[m + 1]; ++p) {
-    sum += ct.streams[0][p];
+    sum += ct.at(p, 0);
   }
   return sum / static_cast<double>(edges[m + 1] - edges[m]);
 }
 
 TEST(BinSlots, MeansAndCounts) {
-  ConditionedTrace ct;
-  ct.timestamps = {TimeUs{0},     TimeUs{100},   TimeUs{200},
-                   TimeUs{1'000}, TimeUs{1'100}, TimeUs{2'500}};
-  ct.streams = {{1.0, 2.0, 3.0, 10.0, 20.0, 7.0}};
+  const ConditionedTrace ct = test::from_columns(
+      {TimeUs{0}, TimeUs{100}, TimeUs{200}, TimeUs{1'000}, TimeUs{1'100},
+       TimeUs{2'500}},
+      {{1.0, 2.0, 3.0, 10.0, 20.0, 7.0}});
   std::vector<std::size_t> edges;
   slot_edges_into(ct.timestamps, TimeUs{0}, TimeUs{1'000}, 3, edges);
   ASSERT_EQ(edges.size(), 4u);
@@ -134,9 +137,9 @@ TEST(BinSlots, MeansAndCounts) {
 }
 
 TEST(BinSlots, IgnoresPacketsOutsideRange) {
-  ConditionedTrace ct;
-  ct.timestamps = {TimeUs{-500}, TimeUs{0}, TimeUs{500}, TimeUs{5'000}};
-  ct.streams = {{100.0, 1.0, 2.0, 100.0}};
+  const ConditionedTrace ct = test::from_columns(
+      {TimeUs{-500}, TimeUs{0}, TimeUs{500}, TimeUs{5'000}},
+      {{100.0, 1.0, 2.0, 100.0}});
   std::vector<std::size_t> edges;
   slot_edges_into(ct.timestamps, TimeUs{0}, TimeUs{1'000}, 1, edges);
   ASSERT_EQ(edges.size(), 2u);
@@ -271,7 +274,9 @@ TEST(UplinkDecoder, WeightsFavourCleanStreams) {
   auto syn = make_synthetic(spec);
   // Add extra noise to stream 1.
   sim::RngStream extra(99);
-  for (double& v : syn.ct.streams[1]) v += extra.normal(0.0, 1.0);
+  for (std::size_t k = 0; k < syn.ct.num_packets(); ++k) {
+    syn.ct.at(k, 1) += extra.normal(0.0, 1.0);
+  }
   UplinkDecoderConfig cfg = config_for(spec);
   cfg.num_good_streams = 2;
   UplinkDecoder dec(cfg);
@@ -342,8 +347,9 @@ TEST(UplinkDecoder, HysteresisAbsorbsSpuriousOutliers) {
   spec.noise = 0.2;
   auto syn = make_synthetic(spec);
   sim::RngStream spike_rng(7);
-  for (auto& stream : syn.ct.streams) {
-    for (double& v : stream) {
+  for (std::size_t s = 0; s < syn.ct.num_streams(); ++s) {
+    for (std::size_t k = 0; k < syn.ct.num_packets(); ++k) {
+      double& v = syn.ct.at(k, s);
       if (spike_rng.chance(0.01)) v += spike_rng.uniform(-8.0, 8.0);
     }
   }
@@ -404,14 +410,14 @@ TEST(UplinkDecoder, SyncTieBreakKeepsEarliestFrameStart) {
   const TimeUs first{50'000};
   const TimeUs second = first + TimeUs{200'000};  // multiple of bit & step
 
-  ConditionedTrace ct;
+  std::vector<TimeUs> ts;
   const TimeUs end =
       second + bit * static_cast<std::int64_t>(frame.size()) + TimeUs{50'000};
   for (std::int64_t t = 0; t < end.ticks(); t += 500) {
-    ct.timestamps.push_back(TimeUs{t});
+    ts.push_back(TimeUs{t});
   }
-  ct.streams.resize(1);
-  for (const TimeUs t : ct.timestamps) {
+  std::vector<double> xs;
+  for (const TimeUs t : ts) {
     double v = 0.0;
     for (const TimeUs start : {first, second}) {
       if (t >= start) {
@@ -419,8 +425,9 @@ TEST(UplinkDecoder, SyncTieBreakKeepsEarliestFrameStart) {
         if (b < frame.size()) v = frame[b] ? 1.0 : -1.0;
       }
     }
-    ct.streams[0].push_back(v);
+    xs.push_back(v);
   }
+  const ConditionedTrace ct = test::from_columns(std::move(ts), {xs});
 
   UplinkDecoderConfig cfg;
   cfg.payload_bits = payload.size();

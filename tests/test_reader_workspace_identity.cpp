@@ -20,6 +20,7 @@
 #include "reader/decode_workspace.h"
 #include "reader/uplink_decoder.h"
 #include "tag/modulator.h"
+#include "trace_columns.h"
 #include "util/codes.h"
 #include "wifi/traffic.h"
 
@@ -59,9 +60,11 @@ wifi::CaptureTrace make_capture(TimeUs bit_us, std::size_t payload_bits,
 
 void expect_same(const ConditionedTrace& a, const ConditionedTrace& b) {
   ASSERT_EQ(a.timestamps, b.timestamps);
-  ASSERT_EQ(a.streams.size(), b.streams.size());
-  for (std::size_t s = 0; s < a.streams.size(); ++s) {
-    ASSERT_EQ(a.streams[s], b.streams[s]) << "stream " << s;
+  const auto a_streams = test::columns(a);
+  const auto b_streams = test::columns(b);
+  ASSERT_EQ(a_streams.size(), b_streams.size());
+  for (std::size_t s = 0; s < a_streams.size(); ++s) {
+    ASSERT_EQ(a_streams[s], b_streams[s]) << "stream " << s;
   }
 }
 

@@ -109,6 +109,23 @@ TEST(Simd, AbsIsTheScalarComparisonChain) {
   EXPECT_EQ(1.0 + r.lane[2], 1.0 + std::abs(-0.0));  // sums can't tell
 }
 
+TEST(Simd, LessIsTheScalarComparisonAsOneOrZero) {
+  // less(a, b) is `a < b ? 1 : 0` per lane: ties, ±0.0 and NaN are not
+  // less, so summing the lanes counts exactly the strict comparisons.
+  const double a[4] = {1.0, 2.0, -0.0, std::nan("")};
+  const double b[4] = {2.0, 2.0, 0.0, 1.0};
+  const auto r = dpack::less(dpack::load(a), dpack::load(b));
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(r.lane[i], a[i] < b[i] ? 1.0 : 0.0) << i;
+  }
+  EXPECT_EQ(r.hsum(), 1.0);
+  using p3 = pack<double, 3>;
+  const auto f = p3::less(p3::load(a), p3::load(b));
+  EXPECT_EQ(f.lane[0], 1.0);
+  EXPECT_EQ(f.lane[1], 0.0);
+  EXPECT_EQ(f.lane[2], 0.0);
+}
+
 TEST(Simd, CompoundAssignmentMatchesBinaryOps) {
   const double a[4] = {0.1, 0.2, 0.3, 0.4};
   const double b[4] = {0.7, 0.9, 1.1, 1.3};
