@@ -7,12 +7,12 @@
 //   --json-out FILE  direct instrumented measurement of the decode hot
 //                    path, written as an obs::RunReport (BENCH_decoder
 //                    .json): ns/packet and allocations/decode for the
-//                    workspace path, the allocating wrappers, and a frozen
-//                    seed-equivalent reference (the pre-workspace
-//                    implementation, kept verbatim below so the perf
-//                    trajectory keeps a fixed baseline). --quick shrinks
-//                    the iteration count. scripts/check.sh gates on
-//                    allocs_per_decode == 0 for the workspace rows.
+//                    workspace path, the allocating wrappers, the scalar
+//                    reference reader (tests/reference) and the seed's
+//                    memory behaviour on top of it, so the perf trajectory
+//                    keeps a fixed baseline. --quick shrinks the iteration
+//                    count. scripts/check.sh gates on allocs_per_decode ==
+//                    0 for the workspace rows.
 #include <chrono>
 #include <string>
 
@@ -27,10 +27,10 @@
 #include "reader/decode_workspace.h"
 #include "reader/slot_sync.h"
 #include "reader/uplink_decoder.h"
+#include "reference/reference.h"
 #include "tag/energy_detector.h"
 #include "tag/modulator.h"
 #include "util/args.h"
-#include "util/dsp.h"
 #include "wifi/traffic.h"
 
 namespace {
@@ -129,23 +129,6 @@ void BM_FullDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_FullDecode);
 
-void BM_MovingAverage(benchmark::State& state) {
-  std::vector<double> xs(static_cast<std::size_t>(state.range(0)));
-  std::vector<TimeUs> ts(xs.size());
-  sim::RngStream rng(3);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = rng.normal();
-    ts[i] = TimeUs{static_cast<std::int64_t>(i)} * 333;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        reader::remove_time_moving_average(ts, xs, TimeUs{400'000}));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_MovingAverage)->Arg(1'000)->Arg(10'000)->Arg(100'000);
-
 void BM_EnergyDetectorStep(benchmark::State& state) {
   sim::RngStream rng(4);
   tag::EnergyDetector det(tag::EnergyDetectorParams{}, rng.fork("det"));
@@ -162,22 +145,15 @@ BENCHMARK(BM_EnergyDetectorStep);
 // ---------------------------------------------------------------------
 // --json-out mode: direct measurement of the decode hot path.
 
-/// A conditioned trace in the seed's per-stream layout.
-struct PerStreamTrace {
-  std::vector<TimeUs> timestamps;            ///< per packet
-  std::vector<std::vector<double>> streams;  ///< [stream][packet]
-};
-
-/// The seed's condition() implementation, frozen verbatim (modulo the
-/// metrics block and its per-stream result type) as the perf baseline:
-/// AoS per-record collection via push_back with per-call stream_csi index
-/// arithmetic, then the allocating dsp wrappers per stream. Produces
-/// values identical to reader::condition — only the memory behaviour
-/// differs.
-PerStreamTrace condition_seed(const wifi::CaptureTrace& trace,
-                              reader::MeasurementSource source,
-                              TimeUs movavg_window_us) {
-  PerStreamTrace out;
+/// The seed's condition(): AoS per-record collection via push_back with
+/// per-call stream_csi index arithmetic, then per stream the reference's
+/// centering and normalising stages into freshly allocated vectors, as the
+/// seed's allocating dsp wrappers did. Its values are the reference's;
+/// only the memory behaviour differs.
+reference::StreamTrace condition_seed(const wifi::CaptureTrace& trace,
+                                      reader::MeasurementSource source,
+                                      TimeUs movavg_window_us) {
+  reference::StreamTrace out;
   std::vector<std::vector<double>> raw;
   const std::size_t num_streams =
       (source == reader::MeasurementSource::kCsi) ? wifi::kNumCsiStreams
@@ -195,84 +171,12 @@ PerStreamTrace condition_seed(const wifi::CaptureTrace& trace,
   }
   out.streams.resize(num_streams);
   for (std::size_t s = 0; s < num_streams; ++s) {
-    auto centered = reader::remove_time_moving_average(
-        out.timestamps, raw[s], movavg_window_us);
-    out.streams[s] = normalize_mad(centered);
+    std::vector<double> centered(raw[s].size());
+    reference::center(out.timestamps, raw[s], movavg_window_us, centered);
+    out.streams[s] = std::vector<double>(centered.size());
+    reference::normalize_mad(centered, out.streams[s]);
   }
   return out;
-}
-
-/// The row-major trace the decoders read, built from a per-stream one.
-reader::ConditionedTrace to_rows(const PerStreamTrace& in) {
-  reader::ConditionedTrace out;
-  out.resize(in.streams.size(), in.timestamps.size());
-  out.timestamps = in.timestamps;
-  for (std::size_t s = 0; s < in.streams.size(); ++s) {
-    for (std::size_t k = 0; k < in.timestamps.size(); ++k) {
-      out.at(k, s) = in.streams[s][k];
-    }
-  }
-  return out;
-}
-
-/// The pre-vectorisation workspace conditioning, frozen as the scalar
-/// reference for the conditioning speedup gate (scripts/check.sh passes
-/// --min-conditioning-speedup to the validator): SoA collection into
-/// reused per-stream buffers, then the retained span kernels one stream
-/// at a time. Values are identical to condition_into and both paths are
-/// allocation-free once warm — the only difference is stream batching,
-/// so the conditioning_workspace/conditioning_scalar ratio measures the
-/// vectorised kernels, not allocator noise.
-struct ScalarConditionScratch {
-  std::vector<std::vector<double>> raw;  ///< [stream][packet]
-  std::vector<double> centered;          ///< one stream's centered series
-};
-
-void condition_scalar_into(const wifi::CaptureTrace& trace,
-                           reader::MeasurementSource source,
-                           TimeUs movavg_window_us,
-                           ScalarConditionScratch& ws, PerStreamTrace& out) {
-  const bool want_csi = source == reader::MeasurementSource::kCsi;
-  const std::size_t num_streams =
-      want_csi ? wifi::kNumCsiStreams : phy::kNumAntennas;
-  std::size_t n = 0;
-  if (want_csi) {
-    for (const auto& rec : trace) n += rec.has_csi ? 1 : 0;
-  } else {
-    n = trace.size();
-  }
-  out.timestamps.resize(n);
-  ws.raw.resize(num_streams);
-  for (auto& stream : ws.raw) stream.resize(n);
-
-  std::size_t idx = 0;
-  for (const auto& rec : trace) {
-    if (want_csi && !rec.has_csi) continue;
-    out.timestamps[idx] = rec.timestamp_us;
-    if (want_csi) {
-      std::size_t s = 0;
-      for (std::size_t a = 0; a < phy::kNumAntennas; ++a) {
-        for (std::size_t c = 0; c < phy::kNumSubchannels; ++c) {
-          ws.raw[s++][idx] = rec.csi[a][c];
-        }
-      }
-    } else {
-      for (std::size_t s = 0; s < num_streams; ++s) {
-        ws.raw[s][idx] = rec.rssi_dbm[s];
-      }
-    }
-    ++idx;
-  }
-
-  out.streams.resize(num_streams);
-  ws.centered.resize(n);
-  for (std::size_t s = 0; s < num_streams; ++s) {
-    reader::remove_time_moving_average(
-        std::span<const TimeUs>(out.timestamps),
-        std::span<const double>(ws.raw[s]), movavg_window_us, ws.centered);
-    out.streams[s].resize(n);
-    normalize_mad(ws.centered, out.streams[s]);
-  }
 }
 
 struct Sample {
@@ -322,14 +226,13 @@ bool run_json_report(const std::string& path, bool quick) {
     return s;
   };
 
-  // Frozen pre-workspace reference (see condition_seed above). The seed
-  // decoder read the per-stream vectors; today's reads rows, so the
-  // reference also pays one copy into them.
+  // The seed pipeline (see condition_seed above): per-stream vectors,
+  // decoded by the reference reader one lone probe per sync candidate, as
+  // the seed decoder read them.
   const Sample full_seed = add("full_decode_seed", measure(
       [&] {
-        const auto ct =
-            to_rows(condition_seed(trace, cfg.source, cfg.movavg_window_us));
-        benchmark::DoNotOptimize(dec.decode_conditioned(ct));
+        benchmark::DoNotOptimize(reference::uplink_decode(
+            cfg, condition_seed(trace, cfg.source, cfg.movavg_window_us)));
       },
       packets, iters));
   add("conditioning_seed", measure(
@@ -367,15 +270,16 @@ bool run_json_report(const std::string& path, bool quick) {
       },
       packets, iters));
 
-  // Scalar conditioning reference (see condition_scalar_into above):
-  // same steady-state memory behaviour, per-stream scalar kernels. The
-  // workspace/scalar ratio is the vectorisation-speedup gate.
-  ScalarConditionScratch scalar_ws;
-  PerStreamTrace scalar_out;
+  // The reference reader's conditioning with warm scratch: the same
+  // steady-state memory behaviour (no allocation), one stream at a time in
+  // scalar code. The workspace/scalar ratio is the vectorisation-speedup
+  // gate.
+  reference::ConditionScratch scalar_ws;
+  reference::StreamTrace scalar_out;
   const Sample cond_scalar = add("conditioning_scalar", measure(
       [&] {
-        condition_scalar_into(trace, cfg.source, cfg.movavg_window_us,
-                              scalar_ws, scalar_out);
+        reference::condition(trace, cfg.source, cfg.movavg_window_us,
+                             scalar_ws, scalar_out);
         benchmark::DoNotOptimize(scalar_out.timestamps.data());
       },
       packets, iters));

@@ -77,13 +77,25 @@ namespace {
 
 using namespace wb;
 
+/// Why a tag-reader distance cannot run, or nullptr; every mode but query
+/// (whose core::validate requires a positive one) checks its --distance
+/// (sweep: --distances-cm) here. The simulated helper sits 3 m past the
+/// tag, so a negative distance moves it behind the reader, and at -3 m
+/// onto it, where the channel's contracts abort.
+const char* distance_error(double distance_m) {
+  if (!(distance_m >= 0.0)) {
+    return "the tag-reader distance must be non-negative";
+  }
+  return nullptr;
+}
+
 /// Why an uplink operating point cannot run, or nullptr. The decoder's
 /// contracts abort on a bit duration under 1 us, so the flags that set it
 /// are checked here and rejected as usage errors; the upper bound keeps
 /// the bit (and the frame) well inside TimeUs's int64 range.
 const char* uplink_params_error(const core::UplinkExperimentParams& p) {
-  if (!(p.tag_reader_distance_m.value() >= 0.0)) {
-    return "the tag-reader distance must be non-negative";
+  if (const char* err = distance_error(p.tag_reader_distance_m.value())) {
+    return err;
   }
   if (!(p.packets_per_bit > 0.0)) return "--pkts-per-bit must be positive";
   if (!(p.helper_pps > 0.0)) return "--helper-pps must be positive";
@@ -125,6 +137,9 @@ int run_uplink(const util::Args& args) {
 /// code pair needs two chips, and the decoder's contracts abort on a chip
 /// under 1 us.
 const char* coded_params_error(const core::CodedExperimentParams& p) {
+  if (const char* err = distance_error(p.tag_reader_distance_m.value())) {
+    return err;
+  }
   if (p.code_length < 2) return "--length must be at least 2 chips";
   if (!(p.packets_per_chip > 0.0)) return "--pkts-per-chip must be positive";
   const double chip_us = 1e6 * p.packets_per_chip / p.helper_pps;
@@ -159,9 +174,7 @@ int run_coded(const util::Args& args) {
 /// shorter than the shortest 802.11 packet or longer than one NAV
 /// reservation holds. The slot is checked before its conversion to ticks.
 const char* downlink_params_error(double distance_m, double slot_us) {
-  if (!(distance_m >= 0.0)) {
-    return "the reader-tag distance must be non-negative";
-  }
+  if (const char* err = distance_error(distance_m)) return err;
   const reader::DownlinkEncoderConfig enc;
   const TimeUs longest = enc.max_nav_us - enc.cts_duration_us - enc.sifs_us;
   if (!(slot_us >= static_cast<double>(wifi::kMinPacketUs.ticks()) &&
@@ -231,6 +244,10 @@ int run_trace(const util::Args& args) {
     std::fprintf(stderr, "trace mode requires --out or --in FILE\n");
     return 2;
   }
+  if (const char* err = distance_error(distance)) {
+    std::fprintf(stderr, "trace: %s\n", err);
+    return 2;
+  }
   core::UplinkSimConfig cfg;
   cfg.channel.tag_pos = {distance, 0.0};
   cfg.channel.helper_pos = {distance + 3.0, 0.0};
@@ -265,6 +282,10 @@ int run_query(const util::Args& args) {
   cfg.ack_enabled = args.flag("--ack");
   cfg.seed = args.u64("--seed", 1);
   const auto queries = args.size("--queries", 3);
+  if (const char* err = core::validate(cfg)) {
+    std::fprintf(stderr, "query: %s\n", err);
+    return 2;
+  }
   core::WiFiBackscatterSystem system(cfg);
 
   // Drive the exchanges through the discrete-event scheduler: one event
@@ -449,6 +470,10 @@ int run_serve(const util::Args& args) {
   } else {
     const auto packets = args.size("--packets", 3'600);
     const double distance = args.num("--distance", 0.08);
+    if (const char* err = distance_error(distance)) {
+      std::fprintf(stderr, "serve: %s\n", err);
+      return 2;
+    }
     core::UplinkSimConfig sim_cfg;
     sim_cfg.channel.tag_pos = {distance, 0.0};
     sim_cfg.channel.helper_pos = {distance + 3.0, 0.0};

@@ -11,16 +11,26 @@
 
 namespace wb::core {
 
+const char* validate(const SystemConfig& cfg) {
+  if (!(cfg.tag_reader_distance_m > Meters{})) {
+    return "tag-reader distance must be positive";
+  }
+  if (!(cfg.helper_distance_m > Meters{})) {
+    return "helper distance must be positive";
+  }
+  if (!(cfg.helper_pps > 0.0)) return "helper traffic rate must be positive";
+  if (!(cfg.packets_per_bit > 0.0)) return "packets per bit must be positive";
+  if (!(cfg.downlink_slot_us > TimeUs{})) {
+    return "downlink slot must be positive";
+  }
+  if (cfg.max_query_attempts == 0) return "query attempts must be positive";
+  return nullptr;
+}
+
 WiFiBackscatterSystem::WiFiBackscatterSystem(const SystemConfig& cfg)
     : cfg_(cfg) {
-  WB_REQUIRE(cfg.tag_reader_distance_m > Meters{},
-             "tag-reader distance must be positive");
-  WB_REQUIRE(cfg.helper_distance_m > Meters{},
-             "helper distance must be positive");
-  WB_REQUIRE(cfg.helper_pps > 0.0, "helper traffic rate must be positive");
-  WB_REQUIRE(cfg.packets_per_bit > 0.0);
-  WB_REQUIRE(cfg.downlink_slot_us > TimeUs{});
-  WB_REQUIRE(cfg.max_query_attempts > 0);
+  const char* err = validate(cfg);
+  WB_REQUIRE(err == nullptr, err);
 }
 
 double WiFiBackscatterSystem::commanded_bit_rate() const {

@@ -96,6 +96,11 @@ struct QueryOutcome {
   bool success() const { return downlink.delivered && uplink.delivered; }
 };
 
+/// Why `cfg` cannot run, or nullptr. WiFiBackscatterSystem's constructor
+/// requires it to pass; callers holding user input (the CLI) check it
+/// first and reject the input instead.
+const char* validate(const SystemConfig& cfg);
+
 class WiFiBackscatterSystem {
  public:
   explicit WiFiBackscatterSystem(const SystemConfig& cfg);

@@ -1,6 +1,7 @@
 #include "reader/conditioning.h"
 
 #include <algorithm>
+#include <span>
 
 #include "obs/forensics.h"
 #include "obs/metrics.h"
@@ -8,57 +9,9 @@
 #include "util/check.h"
 
 #include "reader/decode_workspace.h"
-#include "util/dsp.h"
 #include "util/simd.h"
 
 namespace wb::reader {
-
-void remove_time_moving_average(std::span<const TimeUs> ts,
-                                std::span<const double> xs, TimeUs window_us,
-                                std::span<double> out) {
-  WB_REQUIRE(ts.size() == xs.size(),
-             "one measurement per timestamp is required");
-  WB_REQUIRE(out.size() == xs.size(), "output must cover every sample");
-  WB_REQUIRE(!detail::spans_overlap(xs.data(), xs.size(), out.data(),
-                                    out.size()),
-             "out must not alias xs: the sliding window re-reads samples "
-             "behind the cursor");
-  WB_REQUIRE(window_us > TimeUs{},
-             "moving-average window must be positive");
-  WB_REQUIRE(std::is_sorted(ts.begin(), ts.end()),
-             "capture timestamps must be non-decreasing");
-  // Centered window. The paper's receiver subtracts a trailing 400 ms
-  // average online; decoding offline we can center the same window, which
-  // removes identical drift but avoids the trailing window's
-  // data-dependent baseline creep (a trailing average over a frame edge
-  // contains a varying mix of modulated and quiescent samples, which can
-  // flip the apparent sign of bits after locally imbalanced runs).
-  const TimeUs half = window_us / 2;
-  std::size_t head = 0;  // first index inside [t_k - half, t_k + half]
-  std::size_t tail = 0;  // one past the last index inside
-  double sum = 0.0;
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    while (tail < xs.size() && ts[tail] <= ts[k] + half) {
-      sum += xs[tail];
-      ++tail;
-    }
-    while (ts[head] < ts[k] - half) {
-      sum -= xs[head];
-      ++head;
-    }
-    const double mean = sum / static_cast<double>(tail - head);
-    out[k] = xs[k] - mean;
-  }
-}
-
-std::vector<double> remove_time_moving_average(
-    const std::vector<TimeUs>& ts, const std::vector<double>& xs,
-    TimeUs window_us) {
-  std::vector<double> out(xs.size());
-  remove_time_moving_average(std::span<const TimeUs>(ts),
-                             std::span<const double>(xs), window_us, out);
-  return out;
-}
 
 namespace {
 
@@ -135,11 +88,18 @@ WB_SIMD_INLINE void center(const wifi::CaptureRecord& r, const double* sums,
   }
 }
 
-/// The centering sweep over every usable record, in the order the span
-/// variant sweeps one series: per record, add the records entering its
-/// [t_k - w/2, t_k + w/2] window, retire those leaving it, then center.
-/// The window bounds depend only on the shared timestamps, so every lane
-/// replays that variant's add/retire chain.
+/// The centering sweep over every usable record, in the order the scalar
+/// reference reader (tests/reference) sweeps one series: per record, add
+/// the records entering its [t_k - w/2, t_k + w/2] window, retire those
+/// leaving it, then center. The window bounds depend only on the shared
+/// timestamps, so every lane replays that series' add/retire chain.
+///
+/// The window is centered. The paper's receiver subtracts a trailing
+/// 400 ms average online; decoding offline, the centered window removes
+/// the same drift without the trailing window's data-dependent baseline
+/// creep (a trailing average over a frame edge mixes modulated and
+/// quiescent samples, which can flip the apparent sign of bits after
+/// locally imbalanced runs).
 template <class Lanes>
 WB_SIMD_INLINE void sweep(std::span<const wifi::CaptureRecord* const> recs,
                           TimeUs half, std::size_t keep_lo,
@@ -185,7 +145,7 @@ void sweep_records(std::span<const wifi::CaptureRecord* const> recs,
 // stores the rows of records [keep_lo, keep_hi) into `kept`
 // ((keep_hi - keep_lo) x stride), and leaves each lane's MAD divisor in
 // `mad` (size stride): the mean |centered| over *every* record, summed in
-// record order as normalize_mad sums one series, with degenerate lanes
+// record order as the reference sums one series, with degenerate lanes
 // (mad <= 0, padding included) dividing by an exact 1.0. `sums` (size
 // stride) is the window-sum scratch. collect_records checked that the
 // records are sorted. The contract checks stay out of the clones: GCC
@@ -221,7 +181,7 @@ void center_records(std::span<const wifi::CaptureRecord* const> recs,
 }
 
 // Divides the centered rows in place by their lanes' MAD divisors: the
-// one IEEE divide per element that normalize_mad applies to one series.
+// one IEEE divide per element that the reference applies to one series.
 // Padding lanes divide 0.0 by 1.0.
 WB_SIMD_MULTIVERSION
 void divide_rows(double* rows, std::size_t n, std::size_t stride,

@@ -12,7 +12,6 @@
 // decoder treats every stream identically after this stage.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "util/check.h"
@@ -118,18 +117,5 @@ void condition_records(MeasurementSource source, TimeUs movavg_window_us,
 
 /// The packets of a conditioned trace.
 PacketSpan packet_span(const ConditionedTrace& ct);
-
-/// The moving-average-removal stage alone (exposed for tests and the
-/// ablation bench): y_k = x_k - mean{x_j : t_j in (t_k - window, t_k]}.
-std::vector<double> remove_time_moving_average(
-    const std::vector<TimeUs>& ts, const std::vector<double>& xs,
-    TimeUs window_us);
-
-/// Span-out variant of remove_time_moving_average: `out.size()` must equal
-/// `xs.size()`; `out` must not alias `xs` (the sliding window re-reads
-/// samples behind the cursor). Bit-identical to the allocating wrapper.
-void remove_time_moving_average(std::span<const TimeUs> ts,
-                                std::span<const double> xs, TimeUs window_us,
-                                std::span<double> out);
 
 }  // namespace wb::reader

@@ -1,37 +1,9 @@
 #include "util/dsp.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
 
-#include "util/check.h"
-
 namespace wb {
-
-void normalize_mad(std::span<const double> x, std::span<double> out) {
-  WB_REQUIRE(out.size() == x.size(), "output must cover every sample");
-  WB_REQUIRE(out.data() == x.data() ||
-                 !detail::spans_overlap(x.data(), x.size(), out.data(),
-                                        out.size()),
-             "out must fully alias x (in-place) or not overlap at all: a "
-             "partial overlap makes the divide pass read elements it "
-             "already overwrote");
-  double mad = 0.0;
-  for (double v : x) mad += std::abs(v);
-  if (x.empty()) return;
-  mad /= static_cast<double>(x.size());
-  if (mad <= 0.0) {
-    std::copy(x.begin(), x.end(), out.begin());
-    return;
-  }
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] / mad;
-}
-
-std::vector<double> normalize_mad(std::span<const double> x) {
-  std::vector<double> out(x.size());
-  normalize_mad(x, out);
-  return out;
-}
 
 double mean(std::span<const double> x) {
   if (x.empty()) return 0.0;

@@ -3,10 +3,14 @@
 // recover when conditions improve.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/experiments.h"
 #include "core/inventory.h"
 #include "core/frame.h"
 #include "core/system.h"
+#include "reader/conditioning.h"
+#include "reader/decode_workspace.h"
 #include "reader/uplink_decoder.h"
 #include "wifi/mac.h"
 #include "wifi/nic.h"
@@ -133,13 +137,25 @@ TEST(FailureInjection, DownlinkRejectsMassiveCorruption) {
 
 TEST(FailureInjection, ConditioningSurvivesIdenticalTimestamps) {
   // Several packets sharing one timestamp (bursted delivery reports).
-  std::vector<TimeUs> ts = {TimeUs{100}, TimeUs{100}, TimeUs{100},
-                            TimeUs{200}, TimeUs{200}, TimeUs{300}};
-  std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  const auto y = reader::remove_time_moving_average(ts, xs, TimeUs{1'000});
-  EXPECT_EQ(y.size(), xs.size());
-  for (double v : y) {
-    EXPECT_TRUE(std::isfinite(v));
+  const std::vector<TimeUs> ts = {TimeUs{100}, TimeUs{100}, TimeUs{100},
+                                  TimeUs{200}, TimeUs{200}, TimeUs{300}};
+  wifi::CaptureTrace trace;
+  for (std::size_t k = 0; k < ts.size(); ++k) {
+    wifi::CaptureRecord rec;
+    rec.timestamp_us = ts[k];
+    for (auto& ant : rec.csi) ant.fill(1.0 + static_cast<double>(k));
+    rec.rssi_dbm.fill(-40.0 + static_cast<double>(k));
+    trace.push_back(rec);
+  }
+  reader::DecodeWorkspace ws;
+  reader::ConditionedTrace ct;
+  for (const auto source :
+       {reader::MeasurementSource::kCsi, reader::MeasurementSource::kRssi}) {
+    reader::condition_into(trace, source, TimeUs{1'000}, ws, ct);
+    EXPECT_EQ(ct.num_packets(), ts.size());
+    for (double v : ct.rows) {
+      EXPECT_TRUE(std::isfinite(v));
+    }
   }
 }
 

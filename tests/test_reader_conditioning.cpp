@@ -1,19 +1,17 @@
 #include "reader/conditioning.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "reader/decode_workspace.h"
+#include "reference/reference.h"
 #include "sim/rng.h"
 #include "trace_columns.h"
 #include "util/check.h"
-#include "util/dsp.h"
 
 namespace wb::reader {
 namespace {
@@ -28,6 +26,14 @@ wifi::CaptureRecord record_at(TimeUs t, double csi, double rssi,
   return r;
 }
 
+/// The reference's centering stage over one series.
+std::vector<double> center(const std::vector<TimeUs>& ts,
+                           const std::vector<double>& xs, TimeUs window_us) {
+  std::vector<double> out(xs.size());
+  reference::center(ts, xs, window_us, out);
+  return out;
+}
+
 TEST(Conditioning, RemovesConstantOffset) {
   std::vector<TimeUs> ts;
   std::vector<double> xs;
@@ -35,7 +41,7 @@ TEST(Conditioning, RemovesConstantOffset) {
     ts.push_back(TimeUs{i * 1'000});
     xs.push_back(5.0);
   }
-  const auto y = remove_time_moving_average(ts, xs, TimeUs{20'000});
+  const auto y = center(ts, xs, TimeUs{20'000});
   for (double v : y) EXPECT_NEAR(v, 0.0, 1e-12);
 }
 
@@ -55,7 +61,7 @@ TEST(Conditioning, CenteredWindowHasNoBaselineCreep) {
       xs.push_back(c == '1' ? 1.0 : 0.0);
     }
   }
-  const auto y = remove_time_moving_average(ts, xs, TimeUs{30'000});  // 100 samples
+  const auto y = center(ts, xs, TimeUs{30'000});  // 100 samples
   // Check the '0' bit right after the run of ones (samples 170-179) is
   // negative and the '1' bit after it positive.
   for (int i = 172; i < 178; ++i) EXPECT_LT(y[i], 0.0) << i;
@@ -70,7 +76,7 @@ TEST(Conditioning, TracksSlowDrift) {
     ts.push_back(TimeUs{i * 1'000});
     xs.push_back(0.01 * i);
   }
-  const auto y = remove_time_moving_average(ts, xs, TimeUs{50'000});
+  const auto y = center(ts, xs, TimeUs{50'000});
   for (std::size_t i = 100; i + 100 < y.size(); ++i) {
     EXPECT_NEAR(y[i], 0.0, 0.05);
   }
@@ -80,8 +86,38 @@ TEST(Conditioning, HandlesIrregularTimestamps) {
   std::vector<TimeUs> ts = {TimeUs{0}, TimeUs{1'000}, TimeUs{50'000},
                             TimeUs{51'000}, TimeUs{200'000}};
   std::vector<double> xs = {1.0, 1.0, 1.0, 1.0, 1.0};
-  const auto y = remove_time_moving_average(ts, xs, TimeUs{10'000});
+  const auto y = center(ts, xs, TimeUs{10'000});
   for (double v : y) EXPECT_NEAR(v, 0.0, 1e-12);
+}
+
+/// The reference's normalising stage over one series.
+std::vector<double> normalize_mad(const std::vector<double>& x) {
+  std::vector<double> out(x.size());
+  reference::normalize_mad(x, out);
+  return out;
+}
+
+TEST(NormalizeMad, UnitMeanAbsolute) {
+  const std::vector<double> x = {1.0, -3.0, 2.0, -2.0};
+  const auto y = normalize_mad(x);
+  double mad = 0.0;
+  for (double v : y) mad += std::abs(v);
+  mad /= static_cast<double>(y.size());
+  EXPECT_NEAR(mad, 1.0, 1e-12);
+}
+
+TEST(NormalizeMad, AllZerosUnchanged) {
+  const std::vector<double> x = {0.0, 0.0, 0.0};
+  const auto y = normalize_mad(x);
+  for (double v : y) EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+TEST(NormalizeMad, PreservesSignPattern) {
+  const std::vector<double> x = {5.0, -1.0, 0.5};
+  const auto y = normalize_mad(x);
+  EXPECT_GT(y[0], 0.0);
+  EXPECT_LT(y[1], 0.0);
+  EXPECT_GT(y[2], 0.0);
 }
 
 TEST(Conditioning, CsiTraceShapes) {
@@ -158,37 +194,14 @@ TEST(Conditioning, EmptyTrace) {
 
 // -- the in-place kernel and its kept span (DESIGN.md §15) ---------------
 
-/// Composes the documented pipeline out of the retained scalar kernels:
-/// per stream, collect -> remove_time_moving_average -> normalize_mad.
-ConditionedTrace condition_scalar_reference(const wifi::CaptureTrace& trace,
-                                            MeasurementSource source,
-                                            TimeUs window_us) {
-  std::vector<TimeUs> ts;
-  const bool want_csi = source == MeasurementSource::kCsi;
-  const std::size_t num_streams =
-      want_csi ? wifi::kNumCsiStreams : phy::kNumAntennas;
-  for (const auto& rec : trace) {
-    if (want_csi && !rec.has_csi) continue;
-    ts.push_back(rec.timestamp_us);
-  }
-  std::vector<std::vector<double>> streams(num_streams);
-  std::vector<double> raw, centered;
-  for (std::size_t s = 0; s < num_streams; ++s) {
-    raw.clear();
-    for (const auto& rec : trace) {
-      if (want_csi && !rec.has_csi) continue;
-      raw.push_back(want_csi ? rec.csi[s / phy::kNumSubchannels]
-                                      [s % phy::kNumSubchannels]
-                             : rec.rssi_dbm[s]);
-    }
-    centered.assign(raw.size(), 0.0);
-    remove_time_moving_average(std::span<const TimeUs>(ts),
-                               std::span<const double>(raw), window_us,
-                               centered);
-    streams[s].assign(raw.size(), 0.0);
-    normalize_mad(centered, streams[s]);
-  }
-  return test::from_columns(std::move(ts), streams);
+/// The reference reader's conditioning of a whole trace.
+reference::StreamTrace reference_condition(const wifi::CaptureTrace& trace,
+                                           MeasurementSource source,
+                                           TimeUs window_us) {
+  reference::ConditionScratch scratch;
+  reference::StreamTrace out;
+  reference::condition(trace, source, window_us, scratch, out);
+  return out;
 }
 
 /// Irregular but sorted timestamps so the window cursors actually move.
@@ -230,40 +243,26 @@ wifi::CaptureTrace make_trace(std::size_t n, bool beacons,
   return trace;
 }
 
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-/// condition_into keeping [from, to) equals rows [lo, hi) of the scalar
+/// condition_into keeping [from, to) equals packets [lo, hi) of the
 /// reference over the whole trace, bit for bit, where [lo, hi) are the
 /// reference's packets stamped in [from, to).
 void expect_kept_rows_match(const wifi::CaptureTrace& trace,
                             MeasurementSource source, TimeUs window,
                             TimeUs from, TimeUs to, DecodeWorkspace& ws) {
-  const auto want = condition_scalar_reference(trace, source, window);
-  const auto& ts = want.timestamps;
-  const auto lo = static_cast<std::size_t>(
-      std::lower_bound(ts.begin(), ts.end(), from) - ts.begin());
-  const auto hi = std::max(
-      lo, static_cast<std::size_t>(
-              std::lower_bound(ts.begin(), ts.end(), to) - ts.begin()));
+  const auto whole = reference_condition(trace, source, window);
+  const auto& ts = whole.timestamps;
+  const auto lo = std::lower_bound(ts.begin(), ts.end(), from) - ts.begin();
+  const auto hi =
+      std::max(lo, std::lower_bound(ts.begin(), ts.end(), to) - ts.begin());
+  reference::StreamTrace want;
+  want.timestamps.assign(ts.begin() + lo, ts.begin() + hi);
+  for (const auto& xs : whole.streams) {
+    want.streams.emplace_back(xs.begin() + lo, xs.begin() + hi);
+  }
   ConditionedTrace got;
   collect_records(trace, source, ws);
   condition_records(source, window, ws, got, from, to);
-  ASSERT_EQ(got.num_streams(), want.num_streams());
-  ASSERT_EQ(got.timestamps,
-            std::vector<TimeUs>(ts.begin() + static_cast<long>(lo),
-                                ts.begin() + static_cast<long>(hi)));
-  const auto got_streams = test::columns(got);
-  const auto want_streams = test::columns(want);
-  for (std::size_t s = 0; s < want.num_streams(); ++s) {
-    ASSERT_EQ(got_streams[s].size(), hi - lo) << "stream " << s;
-    for (std::size_t k = lo; k < hi; ++k) {
-      EXPECT_TRUE(same_bits(got_streams[s][k - lo], want_streams[s][k]))
-          << "stream " << s << " packet " << k << ": "
-          << got_streams[s][k - lo] << " vs " << want_streams[s][k];
-    }
-  }
+  reference::expect_bitwise(got, want);
 }
 
 /// Keep ranges over the usable packets `ts`: the whole trace (the
@@ -290,10 +289,10 @@ std::vector<TimeUs> usable_ts(const wifi::CaptureTrace& trace,
 }
 
 TEST(Conditioning, RowsMovingAverageMatchesPerColumnSpanKernel) {
-  // The in-place kernel centers every lane as the span variant centers
-  // one series, then normalize_mad divides it. Lengths around the pack
-  // width cover the pack loop, the scalar remainder, and the one-row
-  // trace; beacons make the CSI record list skip records.
+  // The in-place kernel centers every lane as the reference centers one
+  // series, then divides it as the reference normalises it. Lengths
+  // around the pack width cover the pack loop, the scalar remainder, and
+  // the one-row trace; beacons make the CSI record list skip records.
   const TimeUs w{2'000};
   DecodeWorkspace ws;
   for (const std::size_t n : {std::size_t{1}, std::size_t{5},
@@ -322,9 +321,9 @@ TEST(Conditioning, RowsMovingAverageMatchesPerColumnSpanKernel) {
 TEST(Conditioning, FusedMadOverloadMatchesKernelSequence) {
   // The MAD divisor is summed over every usable record, not over the kept
   // rows: with the trace's tail 50x louder, a divisor taken over either
-  // end alone would miss by far. Kept rows still equal normalize_mad over
-  // the whole centered series, including the constant stream's exact
-  // 1.0 divisor.
+  // end alone would miss by far. Kept rows still equal the reference's
+  // normalisation of the whole centered series, including the constant
+  // stream's exact 1.0 divisor.
   const TimeUs w{2'000};
   DecodeWorkspace ws;
   const auto trace = make_trace(200, true, /*loud_from=*/120);
@@ -368,18 +367,6 @@ TEST(Conditioning, FusedMadOverloadEmptyInputYieldsSafeDivisors) {
   for (double v : ws.row_mads) EXPECT_EQ(v, 1.0);
 }
 
-TEST(Conditioning, SpanKernelsRejectAliasedOutputs) {
-  ScopedContractPolicy guard(ContractPolicy::kThrow);
-  const auto ts = make_ts(5);
-  // Span variant: the sliding window re-reads behind the cursor.
-  std::vector<double> xs(ts.size(), 1.0);
-  EXPECT_THROW(remove_time_moving_average(std::span<const TimeUs>(ts),
-                                          std::span<const double>(xs),
-                                          TimeUs{2'000},
-                                          std::span<double>(xs)),
-               ContractViolation);
-}
-
 TEST(Conditioning, ConditionIntoRejectsDecreasingTimestampsAndBadWindow) {
   ScopedContractPolicy guard(ContractPolicy::kThrow);
   DecodeWorkspace ws;
@@ -403,7 +390,7 @@ TEST(Conditioning, ConditionIntoRejectsDecreasingTimestampsAndBadWindow) {
 
 TEST(Conditioning, BatchedPipelineBitIdenticalToScalarReference) {
   // The whole point of the stream-batched kernels: condition() must equal
-  // the per-stream scalar composition EXACTLY, for CSI (with skipped
+  // the reference's per-stream conditioning EXACTLY, for CSI (with skipped
   // records) and RSSI alike.
   sim::RngStream rng(11);
   wifi::CaptureTrace trace;
@@ -417,15 +404,9 @@ TEST(Conditioning, BatchedPipelineBitIdenticalToScalarReference) {
   }
   for (const auto source :
        {MeasurementSource::kCsi, MeasurementSource::kRssi}) {
-    const auto got = condition(trace, source, TimeUs{20'000});
-    const auto want = condition_scalar_reference(trace, source, TimeUs{20'000});
-    ASSERT_EQ(got.timestamps, want.timestamps);
-    const auto got_streams = test::columns(got);
-    const auto want_streams = test::columns(want);
-    ASSERT_EQ(got_streams.size(), want_streams.size());
-    for (std::size_t s = 0; s < want_streams.size(); ++s) {
-      EXPECT_EQ(got_streams[s], want_streams[s]) << "stream " << s;
-    }
+    reference::expect_bitwise(
+        condition(trace, source, TimeUs{20'000}),
+        reference_condition(trace, source, TimeUs{20'000}));
   }
 }
 

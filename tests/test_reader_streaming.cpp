@@ -2,49 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "core/uplink_sim.h"
-#include "tag/modulator.h"
+#include "reference/reference.h"
 #include "util/bits.h"
 #include "util/check.h"
 #include "util/codes.h"
-#include "wifi/traffic.h"
 
 namespace wb::reader {
 namespace {
 
-/// Generate a capture trace containing tag frames at the given start
-/// times, with helper CBR traffic throughout.
-wifi::CaptureTrace make_trace(const std::vector<TimeUs>& frame_starts,
-                              const std::vector<BitVec>& payloads,
-                              TimeUs bit_us, TimeUs until,
-                              std::uint64_t seed) {
-  core::UplinkSimConfig cfg;
-  cfg.channel.tag_pos = {0.08, 0.0};
-  cfg.channel.helper_pos = {3.08, 0.0};
-  cfg.seed = seed;
-  sim::RngStream rng(seed);
-  auto traffic_rng = rng.fork("t");
-  const auto tl = wifi::make_cbr_timeline(3'000, until,
-                                          wifi::TrafficParams{},
-                                          traffic_rng);
-  std::vector<tag::Modulator> mods;
-  for (std::size_t i = 0; i < frame_starts.size(); ++i) {
-    BitVec frame = barker13();
-    frame.insert(frame.end(), payloads[i].begin(), payloads[i].end());
-    mods.emplace_back(frame, bit_us, frame_starts[i]);
-  }
-  // Compose: at most one frame active at a time in these tests.
-  core::UplinkSim sim(cfg);
-  wifi::CaptureTrace trace;
-  for (const auto& pkt : tl) {
-    bool state = false;
-    for (const auto& m : mods) state = state || m.state_at(pkt.start_us);
-    const auto h = sim.channel().response(state, pkt.start_us);
-    trace.push_back(
-        sim.nic().measure(h, pkt.start_us, pkt.source, pkt.kind));
-  }
-  return trace;
-}
+using reference::make_trace;
 
 /// Keeps a copy of every frame the decoder emits (on_frame() sees reused
 /// scratch).
@@ -344,6 +310,54 @@ TEST(StreamingPins, FrameScannedAfterHistoryTrim) {
                              "010100010110000010000001"}});
   ASSERT_EQ(sink.frames.size(), 1u);
   EXPECT_EQ(sink.frames[0].payload, payload);
+}
+
+// ---- Streaming oracle: the decoder against the reference re-scan loop ----
+//
+// The reference (reference::stream_frames) re-decodes the whole retained
+// buffer at every scan with the reference reader, under the same scan
+// cadence, consumed point and history trim. Replaying each pinned capture
+// through push() and flush() must emit the same frames, every field bit
+// for bit.
+
+void expect_matches_reference(const wifi::CaptureTrace& trace,
+                              const StreamingDecoderConfig& cfg) {
+  const auto got = replay(trace, cfg);
+  const auto want = reference::stream_frames(cfg, trace);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(i);
+    reference::expect_bitwise(got[i], want[i]);
+  }
+}
+
+TEST(StreamingOracle, OneDesignedFrame) {
+  const auto trace = make_trace({TimeUs{700'000}}, {random_bits(24, 21)},
+                                TimeUs{5'000}, TimeUs{1'500'000}, 22);
+  expect_matches_reference(trace, stream_config(24, TimeUs{5'000}));
+}
+
+TEST(StreamingOracle, TwoBackToBackFrames) {
+  const auto trace = make_trace({TimeUs{700'000}, TimeUs{885'000}},
+                                {random_bits(24, 23), random_bits(24, 24)},
+                                TimeUs{5'000}, TimeUs{1'600'000}, 25);
+  expect_matches_reference(trace, stream_config(24, TimeUs{5'000}));
+}
+
+TEST(StreamingOracle, QuietAir) {
+  const auto trace = make_trace({}, {}, TimeUs{5'000}, TimeUs{1'500'000}, 26);
+  StreamingDecoderConfig cfg = stream_config(24, TimeUs{5'000});
+  expect_matches_reference(trace, cfg);
+  cfg.sync_threshold = 0.25;
+  expect_matches_reference(trace, cfg);
+}
+
+TEST(StreamingOracle, FrameScannedAfterHistoryTrim) {
+  const auto trace = make_trace({TimeUs{2'400'000}}, {random_bits(24, 27)},
+                                TimeUs{5'000}, TimeUs{3'000'000}, 28);
+  StreamingDecoderConfig cfg = stream_config(24, TimeUs{5'000});
+  cfg.history_us = cfg.decoder.movavg_window_us;
+  expect_matches_reference(trace, cfg);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // The workspace decode paths (DESIGN.md §10) promise bit-identical
-// outputs to the allocating wrappers — same arithmetic in the same order,
-// only the memory behaviour differs. These tests pin that promise: every
-// field of every result must compare EXACTLY equal (==, not NEAR), and a
-// workspace reused across traces of different shapes must leave no stale
-// state behind.
+// outputs on a reused workspace — only the memory behaviour differs from a
+// fresh decode. These tests pin that promise against the reference reader
+// (reference/reference.h): every field of every result must match bit for
+// bit, and a workspace reused across traces of different shapes must
+// leave no stale state behind.
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <optional>
 
@@ -19,8 +18,8 @@
 #include "reader/corr_decoder.h"
 #include "reader/decode_workspace.h"
 #include "reader/uplink_decoder.h"
+#include "reference/reference.h"
 #include "tag/modulator.h"
-#include "trace_columns.h"
 #include "util/codes.h"
 #include "wifi/traffic.h"
 
@@ -58,37 +57,28 @@ wifi::CaptureTrace make_capture(TimeUs bit_us, std::size_t payload_bits,
   return trace;
 }
 
-void expect_same(const ConditionedTrace& a, const ConditionedTrace& b) {
-  ASSERT_EQ(a.timestamps, b.timestamps);
-  const auto a_streams = test::columns(a);
-  const auto b_streams = test::columns(b);
-  ASSERT_EQ(a_streams.size(), b_streams.size());
-  for (std::size_t s = 0; s < a_streams.size(); ++s) {
-    ASSERT_EQ(a_streams[s], b_streams[s]) << "stream " << s;
-  }
+reference::StreamTrace reference_condition(const wifi::CaptureTrace& trace,
+                                           MeasurementSource source,
+                                           TimeUs window_us) {
+  reference::ConditionScratch scratch;
+  reference::StreamTrace out;
+  reference::condition(trace, source, window_us, scratch, out);
+  return out;
 }
 
-void expect_same(const UplinkDecodeResult& a, const UplinkDecodeResult& b) {
-  EXPECT_EQ(a.found, b.found);
-  EXPECT_EQ(a.start_us, b.start_us);
-  EXPECT_EQ(a.sync_score, b.sync_score);
-  EXPECT_EQ(a.payload, b.payload);
-  EXPECT_EQ(a.streams, b.streams);
-  EXPECT_EQ(a.polarity, b.polarity);
-  EXPECT_EQ(a.weights, b.weights);
-  EXPECT_EQ(a.confidence, b.confidence);
-  EXPECT_EQ(a.packets_used, b.packets_used);
+/// The reference reader's decode of a raw capture.
+UplinkDecodeResult reference_decode(const UplinkDecoder& dec,
+                                    const wifi::CaptureTrace& trace) {
+  const auto& cfg = dec.config();
+  return reference::uplink_decode(
+      cfg, reference_condition(trace, cfg.source, cfg.movavg_window_us));
 }
 
-void expect_same(const CodedDecodeResult& a, const CodedDecodeResult& b) {
-  EXPECT_EQ(a.found, b.found);
-  EXPECT_EQ(a.start_us, b.start_us);
-  EXPECT_EQ(a.sync_score, b.sync_score);
-  EXPECT_EQ(a.payload, b.payload);
-  EXPECT_EQ(a.streams, b.streams);
-  EXPECT_EQ(a.polarity, b.polarity);
-  EXPECT_EQ(a.weights, b.weights);
-  EXPECT_EQ(a.margin, b.margin);
+CodedDecodeResult reference_decode(const CodedUplinkDecoder& dec,
+                                   const wifi::CaptureTrace& trace) {
+  const auto& cfg = dec.config();
+  return reference::coded_decode(
+      cfg, reference_condition(trace, cfg.source, cfg.movavg_window_us));
 }
 
 TEST(WorkspaceIdentity, ConditioningMatchesAcrossReuse) {
@@ -102,9 +92,9 @@ TEST(WorkspaceIdentity, ConditioningMatchesAcrossReuse) {
   for (const auto* trace : {&big, &small, &big}) {
     for (const auto source :
          {MeasurementSource::kCsi, MeasurementSource::kRssi}) {
-      const auto reference = condition(*trace, source);
+      const auto want = reference_condition(*trace, source, TimeUs{400'000});
       condition_into(*trace, source, TimeUs{400'000}, ws, out);
-      expect_same(reference, out);
+      reference::expect_bitwise(out, want);
     }
   }
 }
@@ -135,16 +125,16 @@ TEST(WorkspaceIdentity, UplinkDecodeMatchesAcrossReuse) {
   };
   for (const auto& c : {Case{&big_dec, &big}, Case{&small_dec, &small},
                         Case{&big_dec, &big}}) {
-    const auto reference = c.dec->decode(*c.trace);
-    EXPECT_TRUE(reference.found);
+    const auto want = reference_decode(*c.dec, *c.trace);
+    EXPECT_TRUE(want.found);
     c.dec->decode_into(*c.trace, ws, out);
-    expect_same(reference, out);
+    reference::expect_bitwise(out, want);
   }
 
   // And the not-found path must reset a previously-filled result.
   const wifi::CaptureTrace empty;
   big_dec.decode_into(empty, ws, out);
-  expect_same(big_dec.decode(empty), out);
+  reference::expect_bitwise(out, reference_decode(big_dec, empty));
   EXPECT_FALSE(out.found);
   EXPECT_TRUE(out.payload.empty());
 }
@@ -189,17 +179,18 @@ TEST(WorkspaceIdentity, CodedDecodeMatchesAcrossReuse) {
     cfg.known_start =
         known ? std::optional<TimeUs>(TimeUs{300'000}) : std::nullopt;
     const CodedUplinkDecoder dec(cfg);
-    const auto reference = dec.decode(trace);
-    EXPECT_TRUE(reference.found);
+    const auto want = reference_decode(dec, trace);
+    EXPECT_TRUE(want.found);
     dec.decode_into(trace, ws, out);
-    expect_same(reference, out);
+    reference::expect_bitwise(out, want);
   }
 }
 
 TEST(WorkspaceIdentity, UplinkBatchMatchesPerTraceDecode) {
   // A batch of mixed-shape traces (big, small, big, empty) decoded one
   // after another through ONE workspace and ONE reused result must equal
-  // per-trace decode() exactly, whatever the previous trace left behind.
+  // the reference's per-trace decode exactly, whatever the previous trace
+  // left behind.
   const auto big = make_capture(TimeUs{10'000}, 32, TimeUs{900'000}, 31, true);
   const auto small = make_capture(TimeUs{10'000}, 32, TimeUs{700'000}, 32,
                                   false);
@@ -219,7 +210,7 @@ TEST(WorkspaceIdentity, UplinkBatchMatchesPerTraceDecode) {
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto& trace : traces) {
       dec.decode_into(trace, ws, out);
-      expect_same(dec.decode(trace), out);
+      reference::expect_bitwise(out, reference_decode(dec, trace));
     }
   }
   EXPECT_FALSE(out.found);  // the empty trace came last
@@ -264,7 +255,7 @@ TEST(WorkspaceIdentity, CodedBatchMatchesPerTraceDecode) {
   CodedDecodeResult out;
   for (std::size_t i = 0; i < traces.size(); ++i) {
     dec.decode_into(traces[i], ws, out);
-    expect_same(dec.decode(traces[i]), out);
+    reference::expect_bitwise(out, reference_decode(dec, traces[i]));
     EXPECT_EQ(out.found, i != 1);  // the empty trace sits in the middle
   }
 }
@@ -276,28 +267,6 @@ TEST(WorkspaceIdentity, CodedBatchMatchesPerTraceDecode) {
 // whole-trace condition_into followed by decode_conditioned_into. Every
 // result field must match bit for bit, and so must the flight-recorder
 // breadcrumbs, the forensics ledger and the conditioning packet count.
-
-std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-std::vector<std::uint64_t> bits_of(const std::vector<double>& vs) {
-  std::vector<std::uint64_t> out;
-  for (double v : vs) out.push_back(bits_of(v));
-  return out;
-}
-
-void expect_identical(const UplinkDecodeResult& a,
-                      const UplinkDecodeResult& b) {
-  EXPECT_EQ(a.found, b.found);
-  EXPECT_EQ(a.start_us, b.start_us);
-  EXPECT_EQ(bits_of(a.sync_score), bits_of(b.sync_score));
-  EXPECT_EQ(a.payload, b.payload);
-  EXPECT_EQ(a.streams, b.streams);
-  EXPECT_EQ(bits_of(a.polarity), bits_of(b.polarity));
-  EXPECT_EQ(a.packets_used, b.packets_used);
-  EXPECT_EQ(a.drop_reason, b.drop_reason);
-  EXPECT_EQ(bits_of(a.weights), bits_of(b.weights));
-  EXPECT_EQ(bits_of(a.confidence), bits_of(b.confidence));
-}
 
 /// One decode's result plus what it left in the observability sinks.
 struct Observed {
@@ -349,7 +318,7 @@ Observed expect_cropped_equals_full(const UplinkDecoder& dec,
                    full_ws, ct);
     dec.decode_conditioned_into(ct, full_ws, out);
   });
-  expect_identical(cropped.result, full.result);
+  reference::expect_bitwise(cropped.result, full.result);
   EXPECT_EQ(cropped.breadcrumbs, full.breadcrumbs);
   EXPECT_EQ(cropped.ledger, full.ledger);
   EXPECT_EQ(cropped.conditioned_packets, full.conditioned_packets);

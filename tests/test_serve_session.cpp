@@ -2,48 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "core/uplink_sim.h"
+#include "reference/reference.h"
 #include "serve/error.h"
-#include "tag/modulator.h"
 #include "util/check.h"
 #include "util/codes.h"
-#include "wifi/traffic.h"
 
 namespace wb::serve {
 namespace {
 
-/// Same synthetic capture recipe as tests/test_reader_streaming.cpp: tag
-/// frames at the given starts over helper CBR traffic.
-wifi::CaptureTrace make_trace(const std::vector<TimeUs>& frame_starts,
-                              const std::vector<BitVec>& payloads,
-                              TimeUs bit_us, TimeUs until,
-                              std::uint64_t seed) {
-  core::UplinkSimConfig cfg;
-  cfg.channel.tag_pos = {0.08, 0.0};
-  cfg.channel.helper_pos = {3.08, 0.0};
-  cfg.seed = seed;
-  sim::RngStream rng(seed);
-  auto traffic_rng = rng.fork("t");
-  const auto tl = wifi::make_cbr_timeline(3'000, until,
-                                          wifi::TrafficParams{},
-                                          traffic_rng);
-  std::vector<tag::Modulator> mods;
-  for (std::size_t i = 0; i < frame_starts.size(); ++i) {
-    BitVec frame = barker13();
-    frame.insert(frame.end(), payloads[i].begin(), payloads[i].end());
-    mods.emplace_back(frame, bit_us, frame_starts[i]);
-  }
-  core::UplinkSim sim(cfg);
-  wifi::CaptureTrace trace;
-  for (const auto& pkt : tl) {
-    bool state = false;
-    for (const auto& m : mods) state = state || m.state_at(pkt.start_us);
-    const auto h = sim.channel().response(state, pkt.start_us);
-    trace.push_back(
-        sim.nic().measure(h, pkt.start_us, pkt.source, pkt.kind));
-  }
-  return trace;
-}
+using reference::make_trace;
 
 reader::StreamingDecoderConfig stream_config() {
   reader::StreamingDecoderConfig cfg;

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "phy/drift.h"
-#include "reader/conditioning.h"
 #include "reader/uplink_decoder.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -126,21 +125,6 @@ TEST(WiredContracts, DecoderConfigMustBeWellFormed) {
   cfg = reader::UplinkDecoderConfig{};
   cfg.num_good_streams = 0;
   EXPECT_THROW(reader::UplinkDecoder{cfg}, ContractViolation);
-}
-
-TEST(WiredContracts, ConditioningRejectsMalformedSeries) {
-  ScopedContractPolicy guard(ContractPolicy::kThrow);
-  const std::vector<TimeUs> sorted{TimeUs{0}, TimeUs{10}, TimeUs{20}};
-  const std::vector<TimeUs> unsorted{TimeUs{0}, TimeUs{20}, TimeUs{10}};
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  EXPECT_THROW(reader::remove_time_moving_average(sorted, xs, TimeUs{}),
-               ContractViolation);
-  EXPECT_THROW(
-      reader::remove_time_moving_average(unsorted, xs, TimeUs{100}),
-               ContractViolation);
-  EXPECT_THROW(reader::remove_time_moving_average({TimeUs{0}, TimeUs{10}},
-                                                  xs, TimeUs{100}),
-               ContractViolation);
 }
 
 TEST(WiredContracts, PhyDriftRejectsOutOfRangeStream) {
