@@ -19,8 +19,8 @@
 #include <benchmark/benchmark.h>
 
 #include "alloc_count.h"
+#include "capture_fixture.h"
 
-#include "core/uplink_sim.h"
 #include "obs/report.h"
 #include "phy/ofdm_envelope.h"
 #include "reader/conditioning.h"
@@ -29,48 +29,13 @@
 #include "reader/uplink_decoder.h"
 #include "reference/reference.h"
 #include "tag/energy_detector.h"
-#include "tag/modulator.h"
 #include "util/args.h"
-#include "wifi/traffic.h"
 
 namespace {
 
 using namespace wb;
-
-/// A shared capture trace: 30 pkt/bit, 40 payload bits, tag at 20 cm.
-const wifi::CaptureTrace& shared_trace() {
-  static const wifi::CaptureTrace trace = [] {
-    core::UplinkSimConfig cfg;
-    cfg.channel.tag_pos = {0.2, 0.0};
-    cfg.channel.helper_pos = {3.2, 0.0};
-    cfg.seed = 99;
-    const TimeUs bit_us{10'000};
-    BitVec frame = barker13();
-    const auto payload = random_bits(40, 5);
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    const TimeUs until = TimeUs{600'000} +
-                         bit_us * static_cast<std::int64_t>(frame.size()) +
-                         TimeUs{100'000};
-    sim::RngStream rng(1);
-    auto traffic_rng = rng.fork("t");
-    const auto tl = wifi::make_cbr_timeline(3000, until,
-                                            wifi::TrafficParams{},
-                                            traffic_rng);
-    tag::Modulator mod(frame, bit_us, TimeUs{600'000});
-    core::UplinkSim sim(cfg);
-    return sim.run(tl, mod);
-  }();
-  return trace;
-}
-
-reader::UplinkDecoderConfig shared_decoder_config() {
-  reader::UplinkDecoderConfig dec;
-  dec.payload_bits = 40;
-  dec.bit_duration_us = TimeUs{10'000};
-  dec.search_from = TimeUs{600'000 - 20'000};
-  dec.search_to = TimeUs{600'000 + 20'000};
-  return dec;
-}
+using wb_bench::shared_decoder_config;
+using wb_bench::shared_trace;
 
 void BM_Conditioning(benchmark::State& state) {
   const auto& trace = shared_trace();

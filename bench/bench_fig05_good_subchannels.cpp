@@ -5,8 +5,8 @@
 // significantly with the tag position (multipath profile); no sub-channel
 // is consistently good, which is why the decoder re-selects streams per
 // transmission via preamble correlation.
-#include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "bench_util.h"
 #include "core/experiments.h"
@@ -18,31 +18,37 @@ int main(int argc, char** argv) {
       "Figure 5", "Sub-channels with BER < 1e-2 vs tag-reader distance");
 
   const double distances_cm[] = {5, 10, 15, 20, 25, 30, 40, 50, 60, 70};
+  const auto res = bench::run_points(
+      argc, argv, std::size(distances_cm), [&](std::size_t i) {
+        const double cm = distances_cm[i];
+        core::UplinkExperimentParams p;
+        p.tag_reader_distance_m = Meters{cm / 100.0};
+        p.packets_per_bit = 30.0;
+        p.runs = quick ? 2 : 6;
+        p.payload_bits = 40;
+        // One fixed channel realisation per distance, like the paper's one
+        // physical placement per distance (only noise and traffic vary
+        // between runs).
+        p.seed = 1000 + static_cast<std::uint64_t>(cm);
+        p.channel_seed = p.seed;
+        const auto d = core::decode_of(p, core::UplinkStreams::kEachAlone);
+        return core::measure_uplink(p, {&d, 1})[0];
+      });
+
   std::printf("%-14s %-6s %s\n", "distance(cm)", "#good",
               "good sub-channels of antenna 0 ('#' = BER<1e-2)");
   bench::print_row_divider();
-
-  for (double cm : distances_cm) {
-    core::UplinkExperimentParams p;
-    p.tag_reader_distance_m = Meters{cm / 100.0};
-    p.packets_per_bit = 30.0;
-    p.runs = quick ? 2 : 6;
-    p.payload_bits = 40;
-    // One fixed channel realisation per distance, like the paper's one
-    // physical placement per distance.
-    p.seed = 1000 + static_cast<std::uint64_t>(cm);
-    const auto bers = core::measure_per_stream_ber(p);
-
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    const auto& streams = res[i];
     std::size_t good_total = 0;
-    for (double b : bers) {
-      if (b < 1e-2) ++good_total;
+    for (const auto& m : streams) {
+      if (m.ber < 1e-2) ++good_total;
     }
-    std::printf("%-14.0f %-6zu ", cm, good_total);
+    std::printf("%-14.0f %-6zu ", distances_cm[i], good_total);
     for (std::size_t s = 0; s < phy::kNumSubchannels; ++s) {
-      std::printf("%c", bers[s] < 1e-2 ? '#' : '.');
+      std::printf("%c", streams[s].ber < 1e-2 ? '#' : '.');
     }
     std::printf("\n");
-    std::fflush(stdout);
   }
   std::printf(
       "\nPaper reference: the good set shifts with every distance (and\n"

@@ -8,15 +8,16 @@
 // Expected shape: BER grows with distance; more packets per bit helps;
 // CSI reaches ~65 cm at BER 1e-2 with 30 pkt/bit while RSSI dies ~30 cm.
 //
-// The 66-point grid runs on wb::runner (--threads N, default hardware
-// concurrency); every point's parameters and seed are fixed at expansion
-// time, so the table and --json-out report are bit-identical at any
-// thread count.
+// The Intel 5300 tool reports CSI and RSSI for every packet, so each of
+// the 33 (distance, packets-per-bit) captures is simulated once and
+// decoded both ways. The points run through bench::run_points (--threads
+// N, default hardware concurrency); every point's parameters and seed are
+// fixed before it runs, so the table, --json-out and --forensics-out are
+// bit-identical at any thread count.
 #include <cstdio>
 
 #include "bench_util.h"
 #include "core/experiments.h"
-#include "runner/sweep.h"
 
 int main(int argc, char** argv) {
   using namespace wb;
@@ -31,8 +32,6 @@ int main(int argc, char** argv) {
                                             40, 50, 60, 65, 70};
   core::UplinkGridSpec spec;
   spec.base.runs = runs;
-  spec.sources = {reader::MeasurementSource::kCsi,
-                  reader::MeasurementSource::kRssi};
   for (double cm : distances_cm) spec.distances_m.push_back(cm / 100.0);
   spec.packets_per_bit = {30.0, 6.0, 3.0};
   auto grid = core::expand_uplink_grid(spec);
@@ -41,38 +40,36 @@ int main(int argc, char** argv) {
   // numbers match the pre-runner output byte for byte.
   const std::size_t n_pkts = spec.packets_per_bit.size();
   for (auto& pt : grid) {
-    const double cm = distances_cm[(pt.index / n_pkts) %
-                                   distances_cm.size()];
+    const double cm = distances_cm[pt.index / n_pkts];
     pt.params.seed = 42 + static_cast<std::uint64_t>(
                               cm * 100 + pt.packets_per_bit);
   }
 
-  const std::string forensics_out = bench::forensics_out_path(argc, argv);
-  runner::SweepConfig sweep_cfg;
-  sweep_cfg.threads = bench::threads_arg(argc, argv);
-  sweep_cfg.collect_forensics = !forensics_out.empty();
-  runner::SweepRunner sweep(sweep_cfg);
-  const auto res =
-      sweep.run(grid.size(), [&grid](const runner::TaskContext& ctx) {
-        return core::measure_uplink_ber(grid[ctx.task_index].params);
-      });
+  const auto res = bench::run_points(argc, argv, grid.size(),
+                                     [&grid](std::size_t i) {
+    const auto& p = grid[i].params;
+    core::UplinkDecode rssi = core::decode_of(p);
+    rssi.source = reader::MeasurementSource::kRssi;
+    const core::UplinkDecode decodes[] = {core::decode_of(p), rssi};
+    return core::measure_uplink(p, decodes);
+  });
 
-  // Print the two per-source tables from the merged results (expansion is
-  // source-major, then distance, then packets-per-bit).
-  const std::size_t n_dist = spec.distances_m.size();
-  for (std::size_t s = 0; s < spec.sources.size(); ++s) {
+  // One table per source; res[point][source] holds both decodes of the
+  // point's captures (points are distance-major, then packets-per-bit).
+  const char* sources[] = {"csi", "rssi"};
+  for (std::size_t s = 0; s < 2; ++s) {
     std::printf("\n(%s)\n", s == 0 ? "a: CSI decoding" : "b: RSSI decoding");
     std::printf("%-14s", "distance(cm)");
     for (double m : spec.packets_per_bit) std::printf("  %6.0fp/bit", m);
     std::printf("\n");
     bench::print_row_divider();
-    for (std::size_t d = 0; d < n_dist; ++d) {
+    for (std::size_t d = 0; d < distances_cm.size(); ++d) {
       std::printf("%-14.0f", distances_cm[d]);
       auto& row = report.add_row("ber_point")
-                      .set("source", s == 0 ? "csi" : "rssi")
+                      .set("source", sources[s])
                       .set("distance_cm", distances_cm[d]);
       for (std::size_t k = 0; k < n_pkts; ++k) {
-        const auto& meas = res.results[(s * n_dist + d) * n_pkts + k];
+        const auto& meas = res[d * n_pkts + k][s][0];
         std::printf("  %10.2e", meas.ber);
         row.set("ber_" + std::to_string(static_cast<int>(
                              spec.packets_per_bit[k])) + "pkt",
@@ -84,15 +81,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\nPaper reference: CSI decodes below BER 1e-2 out to ~65 cm with\n"
       "30 pkt/bit; RSSI only to ~30 cm; fewer packets per bit is worse.\n");
-  if (!forensics_out.empty() && res.forensics != nullptr) {
-    if (!res.forensics->write_jsonl(forensics_out)) {
-      std::fprintf(stderr, "failed to write %s\n", forensics_out.c_str());
-      return 1;
-    }
-    res.forensics->write_exemplars(forensics_out);
-    std::printf("forensics (%llu drops): %s\n",
-                static_cast<unsigned long long>(res.forensics->total_drops()),
-                forensics_out.c_str());
-  }
   return report.finish() ? 0 : 1;
 }

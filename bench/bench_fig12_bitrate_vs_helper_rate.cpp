@@ -6,15 +6,14 @@
 // BER below 1e-2. Expected: ~100 bps at 500 pkt/s, ~1 kbps at ~3000 pkt/s
 // (rate scales like helper_rate / packets-per-bit).
 //
-// One wb::runner task per helper rate (--threads N); per-point seeds are
-// fixed up front, so output is bit-identical at any thread count.
+// One bench::run_points point per helper rate (--threads N); per-point
+// seeds are fixed up front, so output is bit-identical at any thread count.
 #include <cstdio>
 
 #include <vector>
 
 #include "bench_util.h"
 #include "core/experiments.h"
-#include "runner/sweep.h"
 
 int main(int argc, char** argv) {
   using namespace wb;
@@ -40,19 +39,17 @@ int main(int argc, char** argv) {
     grid.push_back(p);
   }
 
-  runner::SweepRunner sweep({bench::threads_arg(argc, argv)});
-  const auto res =
-      sweep.run(grid.size(), [&grid](const runner::TaskContext& ctx) {
-        return core::achievable_bit_rate(grid[ctx.task_index]);
-      });
+  const auto res = bench::run_points(
+      argc, argv, grid.size(),
+      [&grid](std::size_t i) { return core::achievable_bit_rate(grid[i]); });
 
   std::printf("%-16s  %20s\n", "helper (pkt/s)", "achievable rate (bps)");
   bench::print_row_divider();
   for (std::size_t i = 0; i < helper_rates.size(); ++i) {
-    std::printf("%-16.0f  %20.0f\n", helper_rates[i], res.results[i]);
+    std::printf("%-16.0f  %20.0f\n", helper_rates[i], res[i]);
     report.add_row("operating_point")
         .set("helper_pps", helper_rates[i])
-        .set("achievable_bps", res.results[i]);
+        .set("achievable_bps", res[i]);
   }
   std::printf(
       "\nPaper reference: ~100 bps at 500 pkt/s rising to ~1 kbps at\n"

@@ -8,8 +8,9 @@
 // Expected shape: BER grows with distance and with bit rate; at BER 1e-2
 // the 20 kbps link reaches ~2.1 m and 10 kbps ~2.9 m.
 //
-// The 42-point grid runs on wb::runner (--threads N); per-point seeds are
-// fixed at expansion time, so output is bit-identical at any thread count.
+// The 42-point grid runs through bench::run_points (--threads N);
+// per-point seeds are fixed at expansion time, so output is bit-identical
+// at any thread count.
 #include <cstdio>
 
 #include <string>
@@ -17,7 +18,6 @@
 
 #include "bench_util.h"
 #include "core/experiments.h"
-#include "runner/sweep.h"
 
 int main(int argc, char** argv) {
   using namespace wb;
@@ -45,10 +45,9 @@ int main(int argc, char** argv) {
                      static_cast<std::uint64_t>(pt.slot_us.ticks());
   }
 
-  runner::SweepRunner sweep({bench::threads_arg(argc, argv)});
   const auto res =
-      sweep.run(grid.size(), [&grid](const runner::TaskContext& ctx) {
-        return core::measure_downlink_ber(grid[ctx.task_index].params);
+      bench::run_points(argc, argv, grid.size(), [&grid](std::size_t i) {
+        return core::measure_downlink_ber(grid[i].params);
       });
 
   std::printf("%-14s", "distance(cm)");
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
     auto& row =
         report.add_row("distance_point").set("distance_cm", distances_cm[d]);
     for (std::size_t r = 0; r < n_rates; ++r) {
-      const double ber = res.results[d * n_rates + r].ber;
+      const double ber = res[d * n_rates + r].ber;
       std::printf("  %10.2e", ber);
       row.set("ber_" +
                   std::to_string(static_cast<long long>(

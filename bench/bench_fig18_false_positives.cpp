@@ -16,21 +16,20 @@ int main(int argc, char** argv) {
   const bool quick = bench::quick_mode(argc, argv);
   // Simulated seconds per hour-of-day point, scaled up to events/hour.
   const TimeUs window_us = (quick ? 60 : 600) * kMicrosPerSec;
+  // Diurnal office load plus the experiment's constant audio stream.
+  const auto pps = [](int hour) { return wifi::office_load_pps(hour) + 50.0; };
 
   bench::print_header(
       "Figure 18",
       "Downlink false positives per hour (tag 30 cm from a busy AP)");
-  std::printf("%-10s  %14s  %12s\n", "hour", "ambient pkts/s",
-              "false pos/hr");
-  bench::print_row_divider();
 
-  for (int hour = 10; hour <= 18; ++hour) {
-    // Diurnal office load plus the experiment's constant audio stream.
-    const double pps = wifi::office_load_pps(hour) + 50.0;
+  // Hours 10..18; each seeds its own traffic and detector.
+  const auto per_hour = bench::run_points(argc, argv, 9, [&](std::size_t i) {
+    const int hour = 10 + static_cast<int>(i);
     sim::RngStream rng(9000 + static_cast<std::uint64_t>(hour));
     auto traffic_rng = rng.fork("ambient");
     const auto ambient =
-        wifi::make_ambient_mix_timeline(pps, window_us, traffic_rng);
+        wifi::make_ambient_mix_timeline(pps(hour), window_us, traffic_rng);
 
     core::DownlinkSimConfig cfg;
     cfg.ambient_distance_m = Meters{0.30};  // 30 cm from the AP
@@ -40,12 +39,16 @@ int main(int argc, char** argv) {
     core::DownlinkSim sim(cfg);
     const auto report =
         sim.run(reader::DownlinkTransmission{}, ambient, window_us);
+    return static_cast<double>(report.decode_entries) * 3.6e9 /
+           static_cast<double>(window_us.ticks());
+  });
 
-    const double per_hour =
-        static_cast<double>(report.decode_entries) * 3.6e9 /
-        static_cast<double>(window_us.ticks());
-    std::printf("%-10d  %14.0f  %12.1f\n", hour, pps, per_hour);
-    std::fflush(stdout);
+  std::printf("%-10s  %14s  %12s\n", "hour", "ambient pkts/s",
+              "false pos/hr");
+  bench::print_row_divider();
+  for (std::size_t i = 0; i < per_hour.size(); ++i) {
+    const int hour = 10 + static_cast<int>(i);
+    std::printf("%-10d  %14.0f  %12.1f\n", hour, pps(hour), per_hour[i]);
   }
   std::printf(
       "\nPaper reference: the maximum observed false-positive rate is\n"

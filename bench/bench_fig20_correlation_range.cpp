@@ -7,9 +7,9 @@
 // Expected: L ~ 20 suffices around 1.6 m; L grows steeply with distance,
 // reaching ~150 at 2.1 m.
 //
-// One wb::runner task per (distance, placement) pair (--threads N); the
-// median over placements is taken after the deterministic merge, so
-// output is bit-identical at any thread count.
+// One bench::run_points point per (distance, placement) pair (--threads
+// N); the median over placements is taken after the deterministic merge,
+// so output is bit-identical at any thread count.
 #include <cstdio>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 
 #include "bench_util.h"
 #include "core/experiments.h"
-#include "runner/sweep.h"
 
 int main(int argc, char** argv) {
   using namespace wb;
@@ -51,11 +50,10 @@ int main(int argc, char** argv) {
         9900 + static_cast<std::uint64_t>(cm) + pt.placement * 131;
   }
 
-  runner::SweepRunner sweep({bench::threads_arg(argc, argv)});
-  const auto res =
-      sweep.run(grid.size(), [&grid, &lengths](const runner::TaskContext& ctx) {
-        const std::size_t l = core::required_correlation_length(
-            grid[ctx.task_index].params, lengths);
+  const auto res = bench::run_points(
+      argc, argv, grid.size(), [&grid, &lengths](std::size_t i) {
+        const std::size_t l =
+            core::required_correlation_length(grid[i].params, lengths);
         return l == 0 ? lengths.back() * 2 : l;
       });
 
@@ -63,10 +61,8 @@ int main(int argc, char** argv) {
   bench::print_row_divider();
   for (std::size_t d = 0; d < distances_cm.size(); ++d) {
     std::vector<std::size_t> per_placement(
-        res.results.begin() +
-            static_cast<std::ptrdiff_t>(d * spec.placements),
-        res.results.begin() +
-            static_cast<std::ptrdiff_t>((d + 1) * spec.placements));
+        res.begin() + static_cast<std::ptrdiff_t>(d * spec.placements),
+        res.begin() + static_cast<std::ptrdiff_t>((d + 1) * spec.placements));
     std::sort(per_placement.begin(), per_placement.end());
     const std::size_t median = per_placement[per_placement.size() / 2];
     const bool achievable = median <= lengths.back();

@@ -22,57 +22,19 @@
 #include <benchmark/benchmark.h>
 
 #include "alloc_count.h"
+#include "capture_fixture.h"
 
-#include "core/uplink_sim.h"
 #include "obs/flight_recorder.h"
 #include "obs/forensics.h"
 #include "obs/report.h"
 #include "reader/decode_workspace.h"
 #include "reader/uplink_decoder.h"
-#include "tag/modulator.h"
 #include "util/args.h"
-#include "wifi/traffic.h"
 
 namespace {
 
 using namespace wb;
-
-/// Same capture recipe as bench_decoder_micro: 30 pkt/bit, 40 payload
-/// bits, tag at 20 cm — decodes cleanly at the default threshold.
-const wifi::CaptureTrace& shared_trace() {
-  static const wifi::CaptureTrace trace = [] {
-    core::UplinkSimConfig cfg;
-    cfg.channel.tag_pos = {0.2, 0.0};
-    cfg.channel.helper_pos = {3.2, 0.0};
-    cfg.seed = 99;
-    const TimeUs bit_us{10'000};
-    BitVec frame = barker13();
-    const auto payload = random_bits(40, 5);
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    const TimeUs until = TimeUs{600'000} +
-                         bit_us * static_cast<std::int64_t>(frame.size()) +
-                         TimeUs{100'000};
-    sim::RngStream rng(1);
-    auto traffic_rng = rng.fork("t");
-    const auto tl = wifi::make_cbr_timeline(3000, until,
-                                            wifi::TrafficParams{},
-                                            traffic_rng);
-    tag::Modulator mod(frame, bit_us, TimeUs{600'000});
-    core::UplinkSim sim(cfg);
-    return sim.run(tl, mod);
-  }();
-  return trace;
-}
-
-reader::UplinkDecoderConfig decoder_config(double sync_threshold) {
-  reader::UplinkDecoderConfig dec;
-  dec.payload_bits = 40;
-  dec.bit_duration_us = TimeUs{10'000};
-  dec.search_from = TimeUs{600'000 - 20'000};
-  dec.search_to = TimeUs{600'000 + 20'000};
-  dec.sync_threshold = sync_threshold;
-  return dec;
-}
+using wb_bench::shared_trace;
 
 struct Sample {
   double ns_per_packet = 0.0;
@@ -154,10 +116,10 @@ int run(const std::string& path, bool quick) {
         .set("allocs_per_decode", s.allocs_per_decode);
   };
 
-  const reader::UplinkDecoder dec_ok(decoder_config(0.0));
+  const reader::UplinkDecoder dec_ok(wb_bench::shared_decoder_config());
   // A threshold no window of this trace reaches: every decode drops with
   // low_snr and logs one flight-recorder event.
-  const reader::UplinkDecoder dec_drop(decoder_config(0.99));
+  const reader::UplinkDecoder dec_drop(wb_bench::shared_decoder_config(0.99));
   reader::DecodeWorkspace ws;
   reader::UplinkDecodeResult result;
 

@@ -7,21 +7,27 @@
 // Flags every bench understands:
 //   --quick          shrink run counts so the whole suite stays fast
 //   --json-out FILE  write the obs::RunReport twin of the printed table
+//                    (Fig 10, 12, 17 and 20)
+// and the benches that run their points through run_points (Fig 5, 10,
+// 11, 12, 14, 17, 18, 20 and the uplink ablation):
 //   --threads N      sweep worker threads (default: hardware concurrency;
-//                    1 = serial). Sweep output is bit-identical at any N.
-//   --forensics-out FILE  (sweep benches) write the merged decode-forensics
-//                    JSONL — per-task sinks merged in task-index order, so
-//                    the file is bit-identical at any --threads.
+//                    1 = serial). Output is bit-identical at any N.
+//   --forensics-out FILE  write the merged decode-forensics JSONL —
+//                    per-task sinks merged in task-index order, so the
+//                    file is bit-identical at any --threads.
 #pragma once
 
+#include <cstddef>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "runner/indexed_for.h"
+#include "runner/sweep.h"
 #include "util/args.h"
 
 namespace wb::bench {
@@ -37,16 +43,32 @@ inline std::string json_out_path(int argc, char** argv) {
   return util::Args(argc, argv).str("--json-out");
 }
 
-/// Value of `--forensics-out FILE`, or "" when not given.
-inline std::string forensics_out_path(int argc, char** argv) {
-  return util::Args(argc, argv).str("--forensics-out");
-}
-
-/// Value of `--threads N` (0 and absent both mean "the hardware's
-/// concurrency"; 1 preserves the exact serial execution path).
-inline unsigned threads_arg(int argc, char** argv) {
-  const auto n = util::Args(argc, argv).u64("--threads", 0);
-  return n == 0 ? runner::default_threads() : static_cast<unsigned>(n);
+/// The sweep skeleton of the figure benches: runs fn(i) for every point
+/// i in [0, n) on runner::SweepRunner with --threads workers and returns
+/// the results in index order. With --forensics-out it writes the
+/// task-order merge of the points' decode forensics (JSONL plus exemplar
+/// CSVs), exiting 1 if it cannot. `fn` runs on several threads at once
+/// and returns a default-constructible value that is not bool.
+template <typename Fn>
+auto run_points(int argc, char** argv, std::size_t n, Fn&& fn) {
+  const util::Args args(argc, argv);
+  const std::string forensics_out = args.str("--forensics-out");
+  runner::SweepConfig cfg;
+  cfg.threads = static_cast<unsigned>(args.u64("--threads", 0));
+  cfg.collect_forensics = !forensics_out.empty();
+  auto res = runner::SweepRunner(cfg).run(
+      n, [&fn](const runner::TaskContext& ctx) { return fn(ctx.task_index); });
+  if (res.forensics != nullptr) {
+    if (!res.forensics->write_jsonl(forensics_out)) {
+      std::fprintf(stderr, "failed to write %s\n", forensics_out.c_str());
+      std::exit(1);
+    }
+    res.forensics->write_exemplars(forensics_out);
+    std::printf("forensics (%llu drops): %s\n",
+                static_cast<unsigned long long>(res.forensics->total_drops()),
+                forensics_out.c_str());
+  }
+  return std::move(res.results);
 }
 
 /// Print a figure header in a uniform style.

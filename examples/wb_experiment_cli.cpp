@@ -351,7 +351,6 @@ int run_sweep(const util::Args& args) {
 
   runner::SweepConfig cfg;
   cfg.threads = static_cast<unsigned>(args.u64("--threads", 0));
-  cfg.base_seed = spec.base.seed;
   cfg.collect_metrics = true;
   // Collect per-task forensics whenever a sink is installed for the run
   // (--forensics-out); the per-task sinks merge in task-index order, so

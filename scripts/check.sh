@@ -27,6 +27,11 @@
 #             sustain 8 concurrent sessions with zero steady-state
 #             ingest/dispatch allocations and a lossless drain
 #             (validate_bench_serve.py)
+#   goldens   byte-identity: scripts/goldens.py --check on the Release
+#             tree — every figure bench's --quick stdout at --threads 4,
+#             fig10/12/17/20 --json-out and four CLI modes' stdout against
+#             the SHA-256s in GOLDENS.json (skipped with a message when
+#             the toolchain tag differs from the file's)
 #   perfbench end-to-end benchmark self-check: perfbench/run.py builds the
 #             benchmark from this tree (Release, into build-perf/perfbench/)
 #             and runs every workload briefly, untraced and traced; fails
@@ -36,7 +41,7 @@
 # Usage: scripts/check.sh [-j N] [--fast] [--only STEP ...]
 #   --fast        analyze + plain build (build-fast/, no sanitizers) + unit
 #                 tests — the doc-change loop; the sanitizer matrix, tidy,
-#                 and the perf + perfbench gates are skipped
+#                 and the perf + goldens + perfbench gates are skipped
 #   --only STEP   run just the named step(s), in the order given
 #                 (repeatable; step names as listed above)
 # Exits non-zero on the first failure.
@@ -56,7 +61,7 @@ while [ $# -gt 0 ]; do
       [ $# -ge 2 ] || { echo "--only needs a step name" >&2; exit 2; }
       ONLY+=("$2"); shift 2 ;;
     -h|--help)
-      sed -n '2,36p' "$0"; exit 0 ;;
+      sed -n '2,47p' "$0"; exit 0 ;;
     *) echo "usage: scripts/check.sh [-j N] [--fast] [--only STEP ...]" >&2
        exit 2 ;;
   esac
@@ -268,6 +273,14 @@ step_perf() {
     --out "$PERF_DIR/BENCH_serve.json"
 }
 
+step_goldens() {
+  cmake -B "$PERF_DIR" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
+  # shellcheck disable=SC2046
+  cmake --build "$PERF_DIR" -j "$JOBS" \
+    --target $(python3 scripts/goldens.py --targets)
+  python3 scripts/goldens.py --check --build-dir "$PERF_DIR"
+}
+
 step_perfbench() {
   CARGO_TARGET_DIR="$PERF_DIR" python3 perfbench/run.py --self-check
 }
@@ -277,7 +290,7 @@ if [ ${#ONLY[@]} -gt 0 ]; then
 elif [ "$FAST" -eq 1 ]; then
   STEPS=(analyze build_fast test_fast)
 else
-  STEPS=(analyze build test tsan clang obs tidy perf perfbench)
+  STEPS=(analyze build test tsan clang obs tidy perf goldens perfbench)
 fi
 
 N=${#STEPS[@]}
@@ -285,9 +298,9 @@ i=0
 for step in "${STEPS[@]}"; do
   i=$((i + 1))
   case "$step" in
-    analyze|build|test|tsan|clang|obs|tidy|perf|perfbench|build_fast|test_fast) ;;
+    analyze|build|test|tsan|clang|obs|tidy|perf|goldens|perfbench|build_fast|test_fast) ;;
     *) echo "unknown step: $step (steps: analyze build test tsan clang obs" \
-            "tidy perf perfbench)" >&2; exit 2 ;;
+            "tidy perf goldens perfbench)" >&2; exit 2 ;;
   esac
   echo "==> [$i/$N] $step"
   "step_$step"

@@ -9,34 +9,12 @@
 #include "reader/decode_workspace.h"
 #include "reader/downlink_encoder.h"
 #include "runner/seed_derive.h"
+#include "sim/rng.h"
 #include "tag/modulator.h"
+#include "util/check.h"
+#include "wifi/traffic.h"
 
 namespace wb::core {
-namespace {
-
-/// Margin of trace captured before/after the tag frame.
-constexpr TimeUs kLeadUs{600'000};   // fills the 400 ms conditioning window
-constexpr TimeUs kTailUs{100'000};
-
-wifi::PacketTimeline make_helper_timeline(bool paced, double pps,
-                                          TimeUs until,
-                                          sim::RngStream& rng) {
-  return paced ? wifi::make_cbr_timeline(pps, until, wifi::TrafficParams{},
-                                         rng)
-               : wifi::make_poisson_timeline(pps, until,
-                                             wifi::TrafficParams{}, rng);
-}
-
-wifi::PacketTimeline make_experiment_timeline(
-    const UplinkExperimentParams& p, TimeUs until, sim::RngStream& rng) {
-  if (p.beacons_only) {
-    return wifi::make_beacon_timeline(p.helper_pps, until, /*source=*/1,
-                                      rng);
-  }
-  return make_helper_timeline(p.paced_traffic, p.helper_pps, until, rng);
-}
-
-}  // namespace
 
 phy::UplinkChannelParams make_channel_params(
     const UplinkExperimentParams& p) {
@@ -57,8 +35,13 @@ phy::UplinkChannelParams make_channel_params(
 
 namespace {
 
-/// Per-run frame seed: drives the payload, traffic, NIC noise and (unless
-/// channel_seed pins it) the channel draw of one simulated frame.
+/// Margin of trace captured before/after the tag frame.
+constexpr TimeUs kLeadUs{600'000};   // fills the 400 ms conditioning window
+constexpr TimeUs kTailUs{100'000};
+
+/// Per-run frame seed of the plain uplink loop: drives the payload,
+/// traffic, NIC noise and (unless channel_seed pins it) the channel draw
+/// of one simulated frame.
 std::uint64_t frame_seed(const UplinkExperimentParams& p, std::uint64_t run) {
   return p.seed * 0x9e3779b97f4a7c15ull + run * 0xc2b2ae3d27d4eb4full + 1;
 }
@@ -69,177 +52,176 @@ struct SimOutput {
   wifi::CaptureTrace trace;
 };
 
-SimOutput simulate_one_frame(const UplinkExperimentParams& p,
-                             std::uint64_t run) {
-  const TimeUs bit_us = p.bit_duration_us();
-  const std::uint64_t seed = frame_seed(p, run);
-
+/// The frame simulator of every uplink experiment: a Barker preamble and
+/// `p.payload_bits` random bits (seed ^ payload_salt), starting kLeadUs
+/// into a capture that ends kTailUs after the frame, over helper traffic
+/// from the seed's "traffic" fork. With `codes`, each bit is sent as an
+/// L-chip code and p's bit duration is the chip duration.
+SimOutput simulate_frame(const UplinkExperimentParams& p, std::uint64_t seed,
+                         std::uint64_t payload_salt,
+                         const OrthogonalCodePair* codes = nullptr) {
   UplinkSimConfig sim_cfg;
   sim_cfg.channel = make_channel_params(p);
   sim_cfg.nic = p.nic;
   sim_cfg.seed = seed;
   sim_cfg.channel_seed = p.channel_seed;
 
-  const BitVec payload = random_bits(p.payload_bits, seed ^ 0x5151u);
+  SimOutput out;
+  out.sent = random_bits(p.payload_bits, seed ^ payload_salt);
   BitVec frame = barker13();
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  frame.insert(frame.end(), out.sent.begin(), out.sent.end());
 
-  const TimeUs frame_start = kLeadUs;
-  const TimeUs frame_dur =
-      bit_us * static_cast<std::int64_t>(frame.size());
-  const TimeUs until = frame_start + frame_dur + kTailUs;
+  const TimeUs symbol_us = p.bit_duration_us();
+  const std::size_t symbols = frame.size() * (codes ? codes->length() : 1);
+  const TimeUs until =
+      kLeadUs + symbol_us * static_cast<std::int64_t>(symbols) + kTailUs;
 
   sim::RngStream rng(seed);
   auto traffic_rng = rng.fork("traffic");
-  const auto timeline = make_experiment_timeline(p, until, traffic_rng);
+  const auto timeline =
+      p.beacons_only
+          ? wifi::make_beacon_timeline(p.helper_pps, until, /*source=*/1,
+                                       traffic_rng)
+      : p.paced_traffic
+          ? wifi::make_cbr_timeline(p.helper_pps, until,
+                                    wifi::TrafficParams{}, traffic_rng)
+          : wifi::make_poisson_timeline(p.helper_pps, until,
+                                        wifi::TrafficParams{}, traffic_rng);
 
-  tag::Modulator mod(frame, bit_us, frame_start);
+  const tag::Modulator mod =
+      codes ? tag::Modulator(frame, *codes, symbol_us, kLeadUs)
+            : tag::Modulator(frame, symbol_us, kLeadUs);
   UplinkSim sim(sim_cfg);
-  SimOutput out;
-  out.sent = payload;
   out.trace = sim.run(timeline, mod);
   return out;
 }
 
-/// Adds one run's outcome: a failed sync counts every bit wrong.
-template <typename DecodeResult>
-void add_run(BerCounter& ber, const BitVec& sent,
-             const DecodeResult& result) {
-  if (result.found) {
-    ber.add(sent, result.payload);
-  } else {
-    ber.add_counts(sent.size(), sent.size());
+/// One measurement's running counts.
+struct Tally {
+  BerCounter ber;
+  std::size_t failed_syncs = 0;
+  std::size_t delivered = 0;
+
+  /// Adds one run's outcome: a failed sync counts every bit wrong.
+  template <typename DecodeResult>
+  void add(const BitVec& sent, const DecodeResult& result) {
+    const std::size_t errors_before = ber.errors();
+    if (result.found) {
+      ber.add(sent, result.payload);
+      if (ber.errors() == errors_before) ++delivered;
+    } else {
+      ber.add_counts(sent.size(), sent.size());
+      ++failed_syncs;
+    }
   }
-}
 
-BerMeasurement to_measurement(const BerCounter& ber,
-                              std::size_t failed_syncs) {
-  BerMeasurement m;
-  m.ber = ber.ber_floored();
-  m.ber_raw = ber.ber();
-  m.bits = ber.bits();
-  m.errors = ber.errors();
-  m.failed_syncs = failed_syncs;
-  return m;
-}
+  BerMeasurement measurement() const {
+    return {ber.ber_floored(), ber.ber(),    ber.bits(),
+            ber.errors(),      failed_syncs, delivered};
+  }
+};
 
-/// Decoder configuration for the plain uplink experiments. Run-invariant
-/// (the frame start is the fixed query lead time), so callers hoist the
-/// decoder — and with it a workspace and result buffers — out of the run
-/// loop and decode every trace through decode_into (DESIGN.md §15).
-reader::UplinkDecoderConfig experiment_decoder_config(
-    const UplinkExperimentParams& p) {
+/// Decoder configuration for one decode of a plain uplink measurement's
+/// frames. Run-invariant (the frame start is the fixed query lead time),
+/// so the loop hoists the decoder — and with it a workspace and result
+/// buffers — out of the runs (DESIGN.md §15).
+reader::UplinkDecoderConfig decoder_config(const UplinkExperimentParams& p,
+                                           const UplinkDecode& d) {
   const TimeUs bit_us = p.bit_duration_us();
   reader::UplinkDecoderConfig dec;
-  dec.source = p.source;
+  dec.source = d.source;
   dec.preamble = barker13();
   dec.payload_bits = p.payload_bits;
   dec.bit_duration_us = bit_us;
-  dec.movavg_window_us = p.movavg_window_us;
-  dec.num_good_streams =
-      p.source == reader::MeasurementSource::kRssi ? 1 : p.num_good_streams;
-  dec.hysteresis_sigma = p.hysteresis_sigma;
-  dec.sync_threshold = p.sync_threshold;
-  // The reader knows roughly when it queried the tag; search +-2 bits.
-  dec.search_from = kLeadUs - 2 * bit_us;
-  dec.search_to = kLeadUs + 2 * bit_us;
+  dec.movavg_window_us = d.movavg_window_us;
+  dec.num_good_streams = d.streams != UplinkStreams::kTopG ||
+                                 d.source == reader::MeasurementSource::kRssi
+                             ? 1
+                             : d.num_good_streams;
+  dec.hysteresis_sigma = d.hysteresis_sigma;
+  dec.sync_threshold = d.sync_threshold;
+  if (d.streams == UplinkStreams::kEachAlone) {
+    // Per-stream maps assume known frame timing (the paper computes them
+    // offline per placement).
+    dec.search_from = kLeadUs;
+    dec.search_to = kLeadUs;
+  } else {
+    // The reader knows roughly when it queried the tag; search +-2 bits.
+    dec.search_from = kLeadUs - 2 * bit_us;
+    dec.search_to = kLeadUs + 2 * bit_us;
+  }
   return dec;
 }
 
 }  // namespace
 
+UplinkDecode decode_of(const UplinkExperimentParams& p,
+                       UplinkStreams streams) {
+  UplinkDecode d;
+  d.streams = streams;
+  d.source = p.source;
+  d.num_good_streams = p.num_good_streams;
+  d.hysteresis_sigma = p.hysteresis_sigma;
+  d.movavg_window_us = p.movavg_window_us;
+  d.sync_threshold = p.sync_threshold;
+  return d;
+}
+
+std::vector<std::vector<BerMeasurement>> measure_uplink(
+    const UplinkExperimentParams& frames,
+    std::span<const UplinkDecode> decodes) {
+  std::vector<reader::UplinkDecoder> decoders;
+  std::vector<std::vector<Tally>> tallies;
+  decoders.reserve(decodes.size());
+  for (const UplinkDecode& d : decodes) {
+    const bool each = d.streams == UplinkStreams::kEachAlone;
+    WB_REQUIRE(!each || d.source == reader::MeasurementSource::kCsi);
+    decoders.emplace_back(decoder_config(frames, d));
+    tallies.emplace_back(each ? wifi::kNumCsiStreams : 1);
+  }
+  reader::DecodeWorkspace ws;
+  reader::ConditionedTrace ct;
+  reader::ConditionedTrace single;
+  reader::UplinkDecodeResult result;
+  for (std::size_t run = 0; run < frames.runs; ++run) {
+    const std::uint64_t seed = frame_seed(frames, run);
+    const auto out = simulate_frame(frames, seed, 0x5151u);
+    for (std::size_t i = 0; i < decodes.size(); ++i) {
+      const UplinkDecode& d = decodes[i];
+      if (d.streams == UplinkStreams::kTopG) {
+        decoders[i].decode_into(out.trace, ws, result);
+        tallies[i][0].add(out.sent, result);
+        continue;
+      }
+      // One conditioning per frame, then one-stream decodes of it.
+      reader::condition_into(out.trace, d.source, d.movavg_window_us, ws, ct);
+      std::size_t first = 0;
+      std::size_t last = ct.num_streams();
+      if (d.streams == UplinkStreams::kRandomOne) {
+        auto pick_rng = sim::RngStream(seed).fork("random-stream");
+        first = pick_rng.uniform_int(ct.num_streams());
+        last = first + 1;
+      }
+      for (std::size_t s = first; s < last; ++s) {
+        reader::copy_stream(ct, s, single);
+        decoders[i].decode_conditioned_into(single, ws, result);
+        tallies[i][d.streams == UplinkStreams::kRandomOne ? 0 : s].add(
+            out.sent, result);
+      }
+    }
+  }
+  std::vector<std::vector<BerMeasurement>> measurements(decodes.size());
+  for (std::size_t i = 0; i < decodes.size(); ++i) {
+    for (const Tally& t : tallies[i]) {
+      measurements[i].push_back(t.measurement());
+    }
+  }
+  return measurements;
+}
+
 BerMeasurement measure_uplink_ber(const UplinkExperimentParams& p) {
-  BerCounter ber;
-  std::size_t failed_syncs = 0;
-  const reader::UplinkDecoder decoder(experiment_decoder_config(p));
-  reader::DecodeWorkspace ws;
-  reader::UplinkDecodeResult result;
-  for (std::size_t run = 0; run < p.runs; ++run) {
-    const auto out = simulate_one_frame(p, run);
-    decoder.decode_into(out.trace, ws, result);
-    if (!result.found) ++failed_syncs;
-    add_run(ber, out.sent, result);
-  }
-  return to_measurement(ber, failed_syncs);
-}
-
-BerMeasurement measure_uplink_ber_random_stream(
-    const UplinkExperimentParams& p) {
-  // The full pipeline's frames and conditioning, decoded from one
-  // randomly chosen stream per run.
-  reader::UplinkDecoderConfig dec = experiment_decoder_config(p);
-  dec.num_good_streams = 1;
-  const reader::UplinkDecoder decoder(dec);
-  reader::DecodeWorkspace ws;
-  reader::ConditionedTrace ct;
-  reader::ConditionedTrace single;
-  reader::UplinkDecodeResult result;
-  BerCounter ber;
-  std::size_t failed_syncs = 0;
-  for (std::size_t run = 0; run < p.runs; ++run) {
-    const auto out = simulate_one_frame(p, run);
-    reader::condition_into(out.trace, p.source, p.movavg_window_us, ws, ct);
-    auto pick_rng = sim::RngStream(frame_seed(p, run)).fork("random-stream");
-    const std::size_t pick = pick_rng.uniform_int(ct.num_streams());
-    reader::copy_stream(ct, pick, single);
-    decoder.decode_conditioned_into(single, ws, result);
-    if (!result.found) ++failed_syncs;
-    add_run(ber, out.sent, result);
-  }
-  return to_measurement(ber, failed_syncs);
-}
-
-std::vector<double> measure_per_stream_ber(const UplinkExperimentParams& p) {
-  // One physical placement per distance: Fig 5 maps *which* sub-channels
-  // are good for a given multipath profile, so unless the caller pins a
-  // channel, it is drawn once from p.seed (only noise and traffic vary
-  // between runs).
-  UplinkExperimentParams q = p;
-  if (!q.channel_seed) q.channel_seed = p.seed;
-  // Per-stream decoding assumes frame timing is known (the paper's
-  // per-sub-channel BER maps are computed offline per placement).
-  reader::UplinkDecoderConfig dec = experiment_decoder_config(q);
-  dec.num_good_streams = 1;
-  dec.search_from = kLeadUs;
-  dec.search_to = kLeadUs;
-  const reader::UplinkDecoder decoder(dec);
-  reader::DecodeWorkspace ws;
-  reader::ConditionedTrace ct;
-  reader::ConditionedTrace single;
-  reader::UplinkDecodeResult result;
-  std::vector<BerCounter> counters(wifi::kNumCsiStreams);
-  for (std::size_t run = 0; run < q.runs; ++run) {
-    const auto out = simulate_one_frame(q, run);
-    reader::condition_into(out.trace, reader::MeasurementSource::kCsi,
-                           q.movavg_window_us, ws, ct);
-    for (std::size_t s = 0; s < ct.num_streams(); ++s) {
-      reader::copy_stream(ct, s, single);
-      decoder.decode_conditioned_into(single, ws, result);
-      add_run(counters[s], out.sent, result);
-    }
-  }
-  std::vector<double> bers(counters.size());
-  for (std::size_t s = 0; s < counters.size(); ++s) {
-    bers[s] = counters[s].ber_floored();
-  }
-  return bers;
-}
-
-double measure_packet_delivery(const UplinkExperimentParams& p) {
-  std::size_t delivered = 0;
-  const reader::UplinkDecoder decoder(experiment_decoder_config(p));
-  reader::DecodeWorkspace ws;
-  reader::UplinkDecodeResult result;
-  for (std::size_t run = 0; run < p.runs; ++run) {
-    const auto out = simulate_one_frame(p, run);
-    decoder.decode_into(out.trace, ws, result);
-    if (result.found && hamming_distance(out.sent, result.payload) == 0) {
-      ++delivered;
-    }
-  }
-  return p.runs ? static_cast<double>(delivered) /
-                      static_cast<double>(p.runs)
-                : 0.0;
+  const UplinkDecode d = decode_of(p);
+  return measure_uplink(p, {&d, 1})[0][0];
 }
 
 double achievable_bit_rate(UplinkExperimentParams p, double target_ber) {
@@ -258,60 +240,37 @@ double achievable_bit_rate(UplinkExperimentParams p, double target_ber) {
 }
 
 BerMeasurement measure_coded_uplink_ber(const CodedExperimentParams& p) {
-  BerCounter ber;
-  std::size_t failed_syncs = 0;
-  // Codes, chip duration and the decoder are run-invariant; the runs only
-  // redraw payloads, noise and traffic. Hoisting them (with a workspace)
-  // makes the loop allocation-light, same as measure_uplink_ber.
-  const auto chip_us =
-      TimeUs::from_us(1e6 * p.packets_per_chip / p.helper_pps);
+  // Plain uplink frames whose symbols are chips. Codes, chip duration and
+  // the decoder are run-invariant; the runs only redraw payloads, noise
+  // and traffic.
+  UplinkExperimentParams frames;
+  frames.tag_reader_distance_m = p.tag_reader_distance_m;
+  frames.helper_tag_distance_m = p.helper_tag_distance_m;
+  frames.helper_pps = p.helper_pps;
+  frames.packets_per_bit = p.packets_per_chip;
+  frames.payload_bits = p.payload_bits;
+  frames.paced_traffic = p.paced_traffic;
+  frames.channel_seed = p.channel_seed;
   const auto codes = make_orthogonal_pair(p.code_length);
-  const TimeUs frame_start = kLeadUs;
 
   reader::CodedDecoderConfig dec;
   dec.codes = codes;
   dec.preamble = barker13();
   dec.payload_bits = p.payload_bits;
-  dec.chip_duration_us = chip_us;
-  dec.known_start = frame_start;  // query-synchronised experiment (§10)
+  dec.chip_duration_us = frames.bit_duration_us();
+  dec.known_start = kLeadUs;  // query-synchronised experiment (§10)
   const reader::CodedUplinkDecoder decoder(dec);
   reader::DecodeWorkspace ws;
   reader::CodedDecodeResult result;
-
+  Tally tally;
   for (std::size_t run = 0; run < p.runs; ++run) {
     const std::uint64_t seed =
         p.seed * 0x9e3779b97f4a7c15ull + run * 0xff51afd7ed558ccdull + 1;
-
-    UplinkExperimentParams geo;
-    geo.tag_reader_distance_m = p.tag_reader_distance_m;
-    geo.helper_tag_distance_m = p.helper_tag_distance_m;
-    UplinkSimConfig sim_cfg;
-    sim_cfg.channel = make_channel_params(geo);
-    sim_cfg.seed = seed;
-    sim_cfg.channel_seed = p.channel_seed;
-
-    const BitVec payload = random_bits(p.payload_bits, seed ^ 0xabcdu);
-    BitVec frame = barker13();
-    frame.insert(frame.end(), payload.begin(), payload.end());
-
-    const TimeUs frame_dur =
-        chip_us * static_cast<std::int64_t>(frame.size() * p.code_length);
-    const TimeUs until = frame_start + frame_dur + kTailUs;
-
-    sim::RngStream rng(seed);
-    auto traffic_rng = rng.fork("traffic");
-    const auto timeline = make_helper_timeline(p.paced_traffic, p.helper_pps,
-                                               until, traffic_rng);
-
-    tag::Modulator mod(frame, codes, chip_us, frame_start);
-    UplinkSim sim(sim_cfg);
-    const auto trace = sim.run(timeline, mod);
-
-    decoder.decode_into(trace, ws, result);
-    if (!result.found) ++failed_syncs;
-    add_run(ber, payload, result);
+    const auto out = simulate_frame(frames, seed, 0xabcdu, &codes);
+    decoder.decode_into(out.trace, ws, result);
+    tally.add(out.sent, result);
   }
-  return to_measurement(ber, failed_syncs);
+  return tally.measurement();
 }
 
 std::size_t required_correlation_length(
@@ -333,7 +292,7 @@ BerMeasurement measure_downlink_ber(const DownlinkExperimentParams& p) {
 
   const std::size_t burst_bits =
       std::min<std::size_t>(enc_cfg.bits_per_chunk(), p.max_burst_bits);
-  BerCounter ber;
+  Tally tally;
   std::size_t sent = 0;
   std::uint64_t round = 0;
   while (sent < p.total_bits) {
@@ -354,11 +313,11 @@ BerMeasurement measure_downlink_ber(const DownlinkExperimentParams& p) {
     BitVec truth;
     truth.reserve(tx.slots.size());
     for (const auto& s : tx.slots) truth.push_back(s.bit);
-    ber.add(truth, report.slot_levels);
+    tally.ber.add(truth, report.slot_levels);
     sent += n;
     ++round;
   }
-  return to_measurement(ber, 0);
+  return tally.measurement();
 }
 
 std::vector<UplinkGridPoint> expand_uplink_grid(const UplinkGridSpec& spec) {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/uplink_sim.h"
@@ -80,27 +81,46 @@ struct BerMeasurement {
   double ber_raw = 0.0;  ///< exact errors/bits (threshold comparisons)
   std::size_t bits = 0;
   std::size_t errors = 0;
-  std::size_t failed_syncs = 0;  ///< runs where the frame was never found
+  std::size_t failed_syncs = 0;      ///< runs where the frame was never found
+  std::size_t frames_delivered = 0;  ///< frames found with zero bit errors
 };
 
-/// Measure uplink BER at one operating point: `runs` frames of random
-/// payload, decoded with the configured pipeline; errors are counted
-/// against the transmitted payload. A run whose sync fails contributes
-/// all-bits-wrong (the paper's 20-run averages bury the distinction).
+/// Which streams one decode of a capture reads.
+enum class UplinkStreams {
+  kTopG,       ///< the decoder's own preamble-ranked top g (Fig 10)
+  kRandomOne,  ///< one per frame, from the frame seed's "random-stream"
+               ///< fork (Fig 11's baseline)
+  kEachAlone,  ///< each CSI stream alone at the known frame start (Fig 5)
+};
+
+/// One way to read a measurement's captures: decoder settings and the
+/// streams they run on. Payload bits, bit duration and the search window
+/// come from the frames being decoded.
+struct UplinkDecode {
+  UplinkStreams streams = UplinkStreams::kTopG;
+  reader::MeasurementSource source = reader::MeasurementSource::kCsi;
+  std::size_t num_good_streams = 10;
+  double hysteresis_sigma = 0.25;
+  TimeUs movavg_window_us{400'000};
+  double sync_threshold = 0.0;
+};
+
+/// The decode `p`'s own decoder fields describe, on `streams`.
+UplinkDecode decode_of(const UplinkExperimentParams& p,
+                       UplinkStreams streams = UplinkStreams::kTopG);
+
+/// The frame loop of every plain-uplink measurement: simulates each of
+/// `frames.runs` frames of random payload once and decodes it with every
+/// entry of `decodes` before simulating the next, so one capture is alive
+/// at a time. Returns, in `decodes` order, one measurement per decode
+/// (kEachAlone: one per CSI stream). A run whose sync fails counts every
+/// bit wrong (the paper's 20-run averages bury the distinction).
+std::vector<std::vector<BerMeasurement>> measure_uplink(
+    const UplinkExperimentParams& frames,
+    std::span<const UplinkDecode> decodes);
+
+/// Uplink BER at one operating point: the one decode `p` describes.
 BerMeasurement measure_uplink_ber(const UplinkExperimentParams& p);
-
-/// Same pipeline but decoding with exactly one (randomly chosen) stream —
-/// the "Random-Subchannel" baseline of Fig 11.
-BerMeasurement measure_uplink_ber_random_stream(
-    const UplinkExperimentParams& p);
-
-/// Per-stream BER at one point (Fig 5): decode using only stream s for
-/// every CSI stream; returns BER per stream index.
-std::vector<double> measure_per_stream_ber(const UplinkExperimentParams& p);
-
-/// Packet delivery probability (Fig 14): fraction of `runs` frames whose
-/// payload decodes without any bit error.
-double measure_packet_delivery(const UplinkExperimentParams& p);
 
 /// Achievable bit rate (§7.2 definition): the largest supported rate
 /// {100, 200, 500, 1000} bps whose measured BER is below `target_ber`,

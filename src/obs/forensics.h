@@ -8,8 +8,9 @@
 //
 //   attempts(stage) == decodes(stage) + total_drops(stage)
 //
-// holds by construction and is what the forensics check in check.sh pins:
-// for a fig10 run, reader.uplink drops sum to (attempted − decoded).
+// holds by construction and is what the forensics check in check.sh pins
+// for a CLI query exchange: every stage's drops sum to (attempts −
+// decodes).
 //
 // The exemplar store retains the first N raw traces per (stage, reason) as
 // pre-serialized capture CSV (the `trace_io --in` format), so a postmortem
@@ -117,7 +118,7 @@ class ForensicsSink {
   /// Accumulate another sink: counters add; exemplars append in the
   /// other sink's stored order until this sink's caps fill. Merging sinks
   /// in ascending task order therefore yields the same bytes regardless
-  /// of how tasks were scheduled (see runner::merge_forensics_in_order).
+  /// of how tasks were scheduled (see runner::SweepRunner).
   void merge_from(const ForensicsSink& other);
 
   /// Deterministic JSONL: a meta line, one line per stage (zeros

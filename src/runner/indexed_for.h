@@ -5,7 +5,7 @@
 // wb_analyze's no-raw-thread rule forbids raw std::thread / std::async
 // outside src/runner/, so parallelism stays behind this API.
 //
-// Contract (identical to SweepRunner::run_indexed, which delegates here):
+// Contract (SweepRunner::run runs its tasks through it):
 //   * workers <= 1 or num_tasks <= 1 runs every task inline on the
 //     calling thread in ascending index order — no extra threads, serial
 //     behaviour preserved exactly;

@@ -1,14 +1,17 @@
 // SweepRunner: deterministic parallel execution of a declarative task grid.
 //
-// A sweep is N independent tasks (one experiment trial each). The runner
-//   * derives each task's RNG seed with the splittable scheme in
-//     seed_derive.h (`seed = derive_seed(base_seed, task_index)`) so no
-//     task shares random state with another,
+// A sweep is N independent tasks (one experiment trial each), whose
+// parameters — seeds included — the caller fixes before running them
+// (derive_seed in seed_derive.h is the splittable scheme grids use). The
+// runner
 //   * executes tasks on for_each_index's fork-join threads (or inline on
 //     the calling thread when threads == 1, preserving serial behaviour
 //     exactly — no extra threads),
-//   * slots every result by task index and merges per-task
-//     obs::MetricsRegistry snapshots in ascending index order,
+//   * slots every result by task index and merges the per-task
+//     obs::MetricsRegistry and obs::ForensicsSink in ascending index
+//     order (their merge_from defines each instrument's rule: sums,
+//     peak-gauge max, last-write-wins gauges, capped exemplars), which is
+//     what a serial run writing one shared registry would produce,
 // so the combined output is bit-identical to the serial run and
 // independent of thread count and scheduling (asserted by
 // tests/test_runner_sweep.cpp at --threads 1/2/8).
@@ -20,9 +23,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <exception>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -32,8 +32,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/forensics.h"
 #include "obs/metrics.h"
-#include "runner/merge.h"
-#include "runner/seed_derive.h"
+#include "runner/indexed_for.h"
 
 namespace wb::runner {
 
@@ -41,9 +40,6 @@ struct SweepConfig {
   /// Worker count; 0 means default_threads() (the hardware concurrency).
   /// 1 runs every task inline on the calling thread in index order.
   unsigned threads = 0;
-
-  /// Base of the splittable per-task seed derivation.
-  std::uint64_t base_seed = 0;
 
   /// When true, each task runs under a fresh thread-locally installed
   /// MetricsRegistry and SweepResult::metrics holds the in-order merge.
@@ -56,17 +52,12 @@ struct SweepConfig {
   /// interleave by completion order, so letting tasks share the caller's
   /// ring would make its contents depend on scheduling.
   bool collect_forensics = false;
-
-  /// Per-(stage, reason) exemplar capacity of each task's sink and of the
-  /// merged sink (the merge re-applies the cap in task-index order).
-  std::size_t forensics_exemplar_cap = obs::ForensicsSink::kDefaultExemplarCap;
 };
 
 /// What a task callable receives. The params a task actually sweeps over
 /// live in the caller's expanded grid, indexed by `task_index`.
 struct TaskContext {
   std::size_t task_index = 0;
-  std::uint64_t seed = 0;  ///< derive_seed(base_seed, task_index)
 };
 
 template <typename R>
@@ -82,7 +73,9 @@ struct SweepResult {
 
 class SweepRunner {
  public:
-  explicit SweepRunner(SweepConfig cfg = {});
+  explicit SweepRunner(SweepConfig cfg = {})
+      : cfg_(cfg),
+        threads_(cfg.threads == 0 ? default_threads() : cfg.threads) {}
 
   /// The resolved worker count (never 0).
   unsigned threads() const noexcept { return threads_; }
@@ -111,8 +104,8 @@ class SweepRunner {
     std::vector<std::unique_ptr<obs::ForensicsSink>> sinks(
         cfg_.collect_forensics ? num_tasks : 0);
 
-    run_indexed(num_tasks, [&](std::size_t i) {
-      const TaskContext ctx{i, derive_seed(cfg_.base_seed, i)};
+    for_each_index(threads_, num_tasks, [&](std::size_t i) {
+      const TaskContext ctx{i};
       std::optional<obs::ScopedMetrics> metrics_guard;
       if (cfg_.collect_metrics) {
         regs[i] = std::make_unique<obs::MetricsRegistry>();
@@ -121,8 +114,7 @@ class SweepRunner {
       std::optional<obs::ScopedForensics> forensics_guard;
       std::optional<obs::ScopedFlightRecorder> recorder_guard;
       if (cfg_.collect_forensics) {
-        sinks[i] =
-            std::make_unique<obs::ForensicsSink>(cfg_.forensics_exemplar_cap);
+        sinks[i] = std::make_unique<obs::ForensicsSink>();
         forensics_guard.emplace(*sinks[i]);
         recorder_guard.emplace(nullptr);  // see SweepConfig::collect_forensics
       }
@@ -131,23 +123,16 @@ class SweepRunner {
 
     if (cfg_.collect_metrics) {
       out.metrics = std::make_unique<obs::MetricsRegistry>();
-      merge_metrics_in_order(*out.metrics, regs);
+      for (const auto& reg : regs) out.metrics->merge_from(*reg);
     }
     if (cfg_.collect_forensics) {
-      out.forensics =
-          std::make_unique<obs::ForensicsSink>(cfg_.forensics_exemplar_cap);
-      merge_forensics_in_order(*out.forensics, sinks);
+      out.forensics = std::make_unique<obs::ForensicsSink>();
+      for (const auto& sink : sinks) out.forensics->merge_from(*sink);
     }
     return out;
   }
 
  private:
-  /// Non-template engine: executes task(0..num_tasks) on worker threads
-  /// (or inline when threads() == 1), waits for completion, and rethrows
-  /// the lowest-index captured exception, if any.
-  void run_indexed(std::size_t num_tasks,
-                   const std::function<void(std::size_t)>& task);
-
   SweepConfig cfg_;
   unsigned threads_ = 1;
 };

@@ -7,6 +7,8 @@
 
 #include <iterator>
 
+#include "obs/metrics.h"
+
 namespace wb::core {
 namespace {
 
@@ -18,6 +20,32 @@ UplinkExperimentParams quick_params(double distance_m, std::uint64_t seed) {
   p.runs = 4;
   p.seed = seed;
   return p;
+}
+
+/// The Fig 11 baseline: one random stream per frame.
+BerMeasurement random_stream_ber(const UplinkExperimentParams& p) {
+  const UplinkDecode d = decode_of(p, UplinkStreams::kRandomOne);
+  return measure_uplink(p, {&d, 1})[0][0];
+}
+
+/// Fig 5's per-stream BERs: every CSI stream alone at the known start,
+/// over one channel placement drawn from the seed.
+std::vector<double> per_stream_ber(UplinkExperimentParams p) {
+  p.channel_seed = p.seed;
+  const UplinkDecode d = decode_of(p, UplinkStreams::kEachAlone);
+  const auto streams = measure_uplink(p, {&d, 1})[0];
+  std::vector<double> bers;
+  for (const auto& m : streams) bers.push_back(m.ber);
+  return bers;
+}
+
+void expect_same(const BerMeasurement& a, const BerMeasurement& b) {
+  EXPECT_EQ(a.ber, b.ber);
+  EXPECT_EQ(a.ber_raw, b.ber_raw);
+  EXPECT_EQ(a.bits, b.bits);
+  EXPECT_EQ(a.errors, b.errors);
+  EXPECT_EQ(a.failed_syncs, b.failed_syncs);
+  EXPECT_EQ(a.frames_delivered, b.frames_delivered);
 }
 
 TEST(Experiments, CloseRangeDecodesCleanly) {
@@ -51,7 +79,7 @@ TEST(Experiments, CsiOutperformsRssiAtMidRange) {
 TEST(Experiments, CombiningBeatsRandomStream) {
   auto p = quick_params(0.40, 4);
   const auto ours = measure_uplink_ber(p);
-  const auto random = measure_uplink_ber_random_stream(p);
+  const auto random = random_stream_ber(p);
   EXPECT_LT(ours.ber_raw, random.ber_raw + 1e-9);
   EXPECT_GT(random.ber_raw, 0.02);
 }
@@ -59,7 +87,7 @@ TEST(Experiments, CombiningBeatsRandomStream) {
 TEST(Experiments, PerStreamBerHasGoodAndBadStreams) {
   auto p = quick_params(0.15, 5);
   p.runs = 2;
-  const auto bers = measure_per_stream_ber(p);
+  const auto bers = per_stream_ber(p);
   ASSERT_EQ(bers.size(), wifi::kNumCsiStreams);
   std::size_t good = 0, bad = 0;
   for (double b : bers) {
@@ -74,7 +102,7 @@ TEST(Experiments, RandomStreamBaselinePinned) {
   // Exact counts at one point: the Fig 11 baseline is a one-stream decode
   // of the shared frame simulator's trace, with the stream drawn from the
   // frame seed's "random-stream" fork.
-  const auto m = measure_uplink_ber_random_stream(quick_params(0.40, 4));
+  const auto m = random_stream_ber(quick_params(0.40, 4));
   EXPECT_EQ(m.bits, 160u);
   EXPECT_EQ(m.errors, 43u);
   EXPECT_EQ(m.failed_syncs, 0u);
@@ -92,7 +120,7 @@ TEST(Experiments, PerStreamBerPinned) {
       0,  1,  3,  0,  0,  0,  0,  0,  1,  7,  6,  1,  0,  0,  0,
       0,  0,  3,  0,  3,  1,  0,  1,  0,  0,  1,  4,  0,  5,  6,
       3,  10, 20, 2,  9,  0,  5,  0,  0,  1,  6,  1,  4,  0,  0};
-  const auto bers = measure_per_stream_ber(p);
+  const auto bers = per_stream_ber(p);
   ASSERT_EQ(bers.size(), std::size(errors));
   for (std::size_t s = 0; s < bers.size(); ++s) {
     // BerCounter::ber_floored over 80 bits.
@@ -107,7 +135,59 @@ TEST(Experiments, PacketDeliveryHighAtCloseRange) {
   auto p = quick_params(0.05, 6);
   p.payload_bits = 24;
   p.runs = 6;
-  EXPECT_GE(measure_packet_delivery(p), 0.8);
+  const auto m = measure_uplink_ber(p);
+  EXPECT_GE(static_cast<double>(m.frames_delivered) /
+                static_cast<double>(p.runs),
+            0.8);
+}
+
+TEST(Experiments, OneFrameLoopDecodesEveryVariant) {
+  // Four readings of the same captures in one call equal four one-decode
+  // calls field for field, and the channel is simulated once per frame
+  // however many decodes read it.
+  auto p = quick_params(0.30, 13);
+  p.runs = 3;
+  p.channel_seed = p.seed;
+  UplinkExperimentParams rssi = p;
+  rssi.source = reader::MeasurementSource::kRssi;
+  const std::vector<UplinkDecode> decodes = {
+      decode_of(p), decode_of(rssi),
+      decode_of(p, UplinkStreams::kRandomOne),
+      decode_of(p, UplinkStreams::kEachAlone)};
+
+  std::vector<std::vector<BerMeasurement>> alone;
+  std::vector<std::uint64_t> responses_alone;
+  for (const UplinkDecode& d : decodes) {
+    obs::MetricsRegistry reg;
+    obs::ScopedMetrics guard(reg);
+    alone.push_back(measure_uplink(p, {&d, 1})[0]);
+    responses_alone.push_back(
+        reg.counter("phy.channel.responses_total").value());
+  }
+  obs::MetricsRegistry reg;
+  std::vector<std::vector<BerMeasurement>> together;
+  {
+    obs::ScopedMetrics guard(reg);
+    together = measure_uplink(p, decodes);
+  }
+  const std::uint64_t responses =
+      reg.counter("phy.channel.responses_total").value();
+  EXPECT_GT(responses, 0u);
+  for (const std::uint64_t r : responses_alone) EXPECT_EQ(r, responses);
+
+  ASSERT_EQ(together.size(), decodes.size());
+  ASSERT_EQ(together[3].size(), wifi::kNumCsiStreams);
+  for (std::size_t i = 0; i < decodes.size(); ++i) {
+    ASSERT_EQ(together[i].size(), alone[i].size()) << "decode " << i;
+    for (std::size_t s = 0; s < together[i].size(); ++s) {
+      SCOPED_TRACE("decode " + std::to_string(i) + " stream " +
+                   std::to_string(s));
+      expect_same(together[i][s], alone[i][s]);
+    }
+  }
+  // The one-decode entry point is the first of them.
+  expect_same(measure_uplink_ber(p), together[0][0]);
+  expect_same(measure_uplink_ber(rssi), together[1][0]);
 }
 
 TEST(Experiments, AchievableRateGrowsWithHelperRate) {

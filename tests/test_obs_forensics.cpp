@@ -10,6 +10,7 @@
 
 #include "core/experiments.h"
 #include "obs/metrics.h"
+#include "runner/seed_derive.h"
 #include "runner/sweep.h"
 
 namespace wb::obs {
@@ -188,7 +189,6 @@ struct SweepForensics {
 SweepForensics run_sweep_at(unsigned threads) {
   runner::SweepConfig cfg;
   cfg.threads = threads;
-  cfg.base_seed = 7;
   cfg.collect_forensics = true;
   runner::SweepRunner sweep(cfg);
   const auto res =
@@ -202,7 +202,7 @@ SweepForensics run_sweep_at(unsigned threads) {
         p.sync_threshold = 0.99;
         p.tag_reader_distance_m =
             Meters{0.3 + 0.2 * static_cast<double>(ctx.task_index)};
-        p.seed = ctx.seed;
+        p.seed = runner::derive_seed(7, ctx.task_index);
         return core::measure_uplink_ber(p).failed_syncs;
       });
   SweepForensics out;

@@ -61,30 +61,18 @@ TEST(SweepRunner, ResolvesThreadCounts) {
   EXPECT_EQ(SweepRunner().threads(), default_threads());
 }
 
-TEST(SweepRunner, TaskContextCarriesDerivedSeed) {
-  SweepConfig cfg;
-  cfg.threads = 1;
-  cfg.base_seed = 99;
-  auto res = SweepRunner(cfg).run(
-      8, [](const TaskContext& ctx) { return ctx.seed; });
-  ASSERT_EQ(res.results.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(res.results[i], derive_seed(99, i));
-  }
-  EXPECT_EQ(res.metrics, nullptr);  // collect_metrics off by default
-}
-
 TEST(SweepRunner, EmptySweepIsFine) {
   auto res = SweepRunner({4}).run(
       0, [](const TaskContext&) { return 1; });
   EXPECT_TRUE(res.results.empty());
+  EXPECT_EQ(res.metrics, nullptr);  // collect_metrics off by default
 }
 
-// A deterministic task: draws from an RNG seeded only by the task seed and
-// records metrics. Any cross-task state sharing or misordered merge shows
-// up as a value difference across thread counts.
-double noisy_task(const TaskContext& ctx) {
-  sim::RngStream rng(ctx.seed);
+// A deterministic task: draws from an RNG seeded only by its own derived
+// seed and records metrics. Any cross-task state sharing or misordered
+// merge shows up as a value difference across thread counts.
+double noisy_task(std::uint64_t base_seed, const TaskContext& ctx) {
+  sim::RngStream rng(derive_seed(base_seed, ctx.task_index));
   double acc = 0.0;
   for (int i = 0; i < 1'000; ++i) acc += rng.uniform();
   if (auto* m = obs::metrics()) {
@@ -103,9 +91,11 @@ TEST(SweepRunner, BitIdenticalResultsAcrossThreadCounts) {
   for (unsigned threads : {1u, 2u, 8u}) {
     SweepConfig cfg;
     cfg.threads = threads;
-    cfg.base_seed = 7;
     per_thread_count.push_back(
-        SweepRunner(cfg).run(kTasks, noisy_task).results);
+        SweepRunner(cfg)
+            .run(kTasks,
+                 [](const TaskContext& ctx) { return noisy_task(7, ctx); })
+            .results);
   }
   // Bit-identical, not approximately equal.
   EXPECT_EQ(per_thread_count[0], per_thread_count[1]);
@@ -118,9 +108,9 @@ TEST(SweepRunner, MergedMetricsIdenticalAcrossThreadCounts) {
   for (unsigned threads : {1u, 2u, 8u}) {
     SweepConfig cfg;
     cfg.threads = threads;
-    cfg.base_seed = 11;
     cfg.collect_metrics = true;
-    auto res = SweepRunner(cfg).run(kTasks, noisy_task);
+    auto res = SweepRunner(cfg).run(
+        kTasks, [](const TaskContext& ctx) { return noisy_task(11, ctx); });
     ASSERT_NE(res.metrics, nullptr);
 
     const auto snap = res.metrics->snapshot();
@@ -166,7 +156,6 @@ TEST(SweepRunner, RealUplinkGridIdenticalAcrossThreadCounts) {
   for (unsigned threads : {1u, 2u, 8u}) {
     SweepConfig cfg;
     cfg.threads = threads;
-    cfg.base_seed = spec.base.seed;
     auto res = SweepRunner(cfg).run(
         grid.size(), [&grid](const TaskContext& ctx) {
           return core::measure_uplink_ber(grid[ctx.task_index].params)
