@@ -13,11 +13,16 @@ machine architecture: on any other tag --check skips with a message.
 
 tests/goldens_probe prints the reader's internals (conditioned rows,
 sync scores, weights, margins) in hex-float. Every bench runs with
---quick --threads 4 from a scratch working directory; --json-out files are hashed with every "*wall_us" value (real
-elapsed time) masked. A PR that runs --update lists every moved entry in
-CHANGES.md: that is the declared re-golden.
+--quick --threads 4 from a scratch working directory; --json-out files
+are hashed with every "*wall_us" value (real elapsed time) masked. The
+CLI's `serve` run (8 sessions, one dispatch thread) is hashed three ways:
+its stdout, its --forensics-out JSONL, and the JSONL's exemplar sidecars
+(every `serve.jsonl.*.csv`, in name order, each file's name and bytes).
+A PR that runs --update lists every moved entry in CHANGES.md: that is
+the declared re-golden.
 """
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -50,6 +55,11 @@ JSON_BENCHES = {
     "bench_fig20_correlation_range": "fig20.json",
 }
 CLI_MODES = ["uplink", "coded", "downlink", "query"]
+# The live path: staggered sessions through wb::serve, with the drop
+# ledger and the captures it kept as exemplars.
+SERVE = ["examples/wb_experiment_cli", "serve", "--sessions", "8",
+         "--threads", "1", "--packets", "9000", "--seed", "11",
+         "--forensics-out", "serve.jsonl"]
 
 
 def runs():
@@ -65,6 +75,9 @@ def runs():
     for mode in CLI_MODES:
         out.append((["examples/wb_experiment_cli", mode],
                     {"cli_" + mode + ".stdout": None}))
+    out.append((SERVE, {"cli_serve.stdout": None,
+                        "cli_serve.forensics.jsonl": "serve.jsonl",
+                        "cli_serve.exemplars": "serve.jsonl.*.csv"}))
     # The reader's internals in hex-float: the tables above print three
     # digits, so only this entry sees a one-ulp kernel change.
     out.append((["tests/goldens_probe"], {"goldens_probe.stdout": None}))
@@ -108,6 +121,19 @@ def sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def read_output(tmp, path):
+    """One output's bytes: a --json-out file (wall times masked), or
+    every file a glob names, each as its name line and its bytes."""
+    if "*" not in path:
+        with open(os.path.join(tmp, path)) as f:
+            return mask_wall(f.read()).encode()
+    data = b""
+    for name in sorted(glob.glob(os.path.join(tmp, path))):
+        with open(name, "rb") as f:
+            data += os.path.basename(name).encode() + b"\n" + f.read()
+    return data
+
+
 def measure(build_dir):
     """Runs every command once; returns {name: {"cmd", "sha256"}}."""
     hashes = {}
@@ -124,11 +150,8 @@ def measure(build_dir):
             print("    %-55s %5.1f s" % (" ".join(cmd),
                                          time.monotonic() - t0))
             for name, path in outputs.items():
-                if path is None:
-                    data = proc.stdout
-                else:
-                    with open(os.path.join(tmp, path)) as f:
-                        data = mask_wall(f.read()).encode()
+                data = (proc.stdout if path is None
+                        else read_output(tmp, path))
                 hashes[name] = {"cmd": " ".join(cmd), "sha256": sha(data)}
     return hashes
 
