@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
 
   std::printf("%-44s  %s\n", "variant", "BER");
   bench::print_row_divider();
-  std::printf("%-44s  %.2e\n", "full decoder (MRC, G=10, hysteresis 0.5s)",
+  std::printf("%-44s  %.2e\n", "full decoder (MRC, G=10, hysteresis 0.25s)",
               ber(0, 0));
   for (std::size_t i = 0; i < 5; ++i) {
     std::printf("combined streams G=%-26zu  %.2e\n", gs[i], ber(0, 1 + i));

@@ -1,6 +1,9 @@
 #include "reader/conditioning.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <span>
 
 #include "obs/forensics.h"
@@ -14,6 +17,19 @@
 namespace wb::reader {
 
 namespace {
+
+// The grids' rounding constants (DESIGN.md §15). Adding 1.5 * 2^(52 - b)
+// and subtracting it again rounds x to the nearest multiple of 2^-b, ties
+// to even: the sum lies in [2^(52 - b), 2^(53 - b)), where doubles are
+// 2^-b apart, for every |x| < 2^(51 - b). For the MAD the bits of
+// |c| + kCenteredRound less those of kCenteredRound count the 2^-30 steps
+// of the rounded |c|, so each lane sums them as an int64.
+constexpr double kRawRound = 1.5 * static_cast<double>(
+                                       std::int64_t{1} << (52 - kRawGridBits));
+constexpr double kCenteredRound =
+    1.5 * static_cast<double>(std::int64_t{1} << (52 - kCenteredGridBits));
+constexpr std::int64_t kCenteredBase =
+    std::bit_cast<std::int64_t>(kCenteredRound);
 
 // The in-place centering kernel (DESIGN.md §15). One record's
 // measurements sit in `kCount` arrays of `kWidth` doubles (CSI: one per
@@ -38,46 +54,56 @@ struct RssiLanes {
   }
 };
 
-/// sums[lane] += x (kAdd) or -= x, one record's lanes.
+/// sums[lane] += q (kAdd) or -= q, one record's lanes, where q is the
+/// lane's measurement on the 2^-kRawGridBits grid. Every sum of grid
+/// values is exact within DESIGN.md §15's bounds.
 template <class Lanes, bool kAdd>
 WB_SIMD_INLINE void slide(const wifi::CaptureRecord& r, double* sums) {
   using P = simd::dpack;
   constexpr std::size_t kMain = Lanes::kWidth - Lanes::kWidth % simd::kLanes;
+  const P round = P::broadcast(kRawRound);
   for (std::size_t a = 0; a < Lanes::kCount; ++a) {
     const double* x = Lanes::at(r, a);
     double* s = sums + a * Lanes::kWidth;
     for (std::size_t i = 0; i < kMain; i += simd::kLanes) {
-      const P v = kAdd ? P::load(s + i) + P::load(x + i)
-                       : P::load(s + i) - P::load(x + i);
+      const P q = (P::load(x + i) + round) - round;
+      const P v = kAdd ? P::load(s + i) + q : P::load(s + i) - q;
       v.store(s + i);
     }
     for (std::size_t i = kMain; i < Lanes::kWidth; ++i) {
-      s[i] = kAdd ? s[i] + x[i] : s[i] - x[i];
+      const double q = (x[i] + kRawRound) - kRawRound;
+      s[i] = kAdd ? s[i] + q : s[i] - q;
     }
   }
 }
 
 /// Centers one record against the window sums: out = x - sum / nwin per
-/// lane, |out| added to `mad`, and (kStore) out written to `row`, whose
-/// padding lanes up to `stride` are zeroed.
+/// lane, |out|'s 2^-kCenteredGridBits steps added to `mad`, and (kStore)
+/// out written to `row`, whose padding lanes up to `stride` are zeroed.
 template <class Lanes, bool kStore>
 WB_SIMD_INLINE void center(const wifi::CaptureRecord& r, const double* sums,
-                           double nwin, double* mad, double* row,
+                           double nwin, std::int64_t* mad, double* row,
                            std::size_t stride) {
   using P = simd::dpack;
+  using I = simd::pack<std::int64_t, simd::kLanes>;
   constexpr std::size_t kMain = Lanes::kWidth - Lanes::kWidth % simd::kLanes;
   const P nw = P::broadcast(nwin);
+  const P round = P::broadcast(kCenteredRound);
+  const I base = I::broadcast(kCenteredBase);
   for (std::size_t a = 0; a < Lanes::kCount; ++a) {
     const double* x = Lanes::at(r, a);
     const std::size_t c = a * Lanes::kWidth;
     for (std::size_t i = 0; i < kMain; i += simd::kLanes) {
       const P out = P::load(x + i) - P::load(sums + c + i) / nw;
-      (P::load(mad + c + i) + P::abs(out)).store(mad + c + i);
+      const I steps = simd::bits(P::abs(out) + round) - base;
+      (I::load(mad + c + i) + steps).store(mad + c + i);
       if constexpr (kStore) out.store(row + c + i);
     }
     for (std::size_t i = kMain; i < Lanes::kWidth; ++i) {
       const double out = x[i] - sums[c + i] / nwin;
-      mad[c + i] = mad[c + i] + (out < 0.0 ? -out : out);  // P::abs
+      const double abs = out < 0.0 ? -out : out;  // P::abs
+      mad[c + i] += std::bit_cast<std::int64_t>(abs + kCenteredRound) -
+                    kCenteredBase;
       if constexpr (kStore) row[c + i] = out;
     }
   }
@@ -104,7 +130,7 @@ template <class Lanes>
 WB_SIMD_INLINE void sweep(std::span<const wifi::CaptureRecord* const> recs,
                           TimeUs half, std::size_t keep_lo,
                           std::size_t keep_hi, std::size_t stride,
-                          double* sums, double* mad, double* kept) {
+                          double* sums, std::int64_t* mad, double* kept) {
   const std::size_t n = recs.size();
   std::size_t head = 0;  // first record inside [t_k - half, t_k + half]
   std::size_t tail = 0;  // one past the last record inside
@@ -133,7 +159,7 @@ WB_SIMD_MULTIVERSION
 void sweep_records(std::span<const wifi::CaptureRecord* const> recs,
                    bool csi, TimeUs half, std::size_t keep_lo,
                    std::size_t keep_hi, std::size_t stride, double* sums,
-                   double* mad, double* kept) {
+                   std::int64_t* mad, double* kept) {
   if (csi) {
     sweep<CsiLanes>(recs, half, keep_lo, keep_hi, stride, sums, mad, kept);
   } else {
@@ -144,10 +170,12 @@ void sweep_records(std::span<const wifi::CaptureRecord* const> recs,
 // Centers every usable record where it lies in the capture (no copy),
 // stores the rows of records [keep_lo, keep_hi) into `kept`
 // ((keep_hi - keep_lo) x stride), and leaves each lane's MAD divisor in
-// `mad` (size stride): the mean |centered| over *every* record, summed in
-// record order as the reference sums one series, with degenerate lanes
-// (mad <= 0, padding included) dividing by an exact 1.0. `sums` (size
-// stride) is the window-sum scratch. collect_records checked that the
+// `mad` (size stride): the mean |centered| over *every* record, its exact
+// sum of grid steps (`steps`, size stride) scaled back and divided once
+// by the record count, as the reference computes one series, with
+// degenerate lanes (mad <= 0, padding included) dividing by an exact
+// 1.0. `sums` (size stride) is the window-sum scratch. collect_records
+// checked that the
 // records are sorted. The contract checks stay out of the clones: GCC
 // treats a call to a target_clones function as nothrow, so a check
 // throwing inside one (ContractPolicy::kThrow) would terminate instead of
@@ -155,28 +183,30 @@ void sweep_records(std::span<const wifi::CaptureRecord* const> recs,
 void center_records(std::span<const wifi::CaptureRecord* const> recs,
                     bool csi, TimeUs window_us, std::size_t keep_lo,
                     std::size_t keep_hi, std::size_t stride,
-                    std::span<double> sums, std::span<double> mad,
-                    std::span<double> kept) {
+                    std::span<double> sums, std::span<std::int64_t> steps,
+                    std::span<double> mad, std::span<double> kept) {
   WB_REQUIRE(window_us > TimeUs{},
              "moving-average window must be positive");
   WB_REQUIRE(keep_lo <= keep_hi && keep_hi <= recs.size() &&
                  kept.size() == (keep_hi - keep_lo) * stride,
              "kept rows must be a stride-wide row per kept record");
-  WB_REQUIRE(sums.size() == stride && mad.size() == stride,
+  WB_REQUIRE(sums.size() == stride && steps.size() == stride &&
+                 mad.size() == stride,
              "window sums and divisors need one lane per column");
   for (double& s : sums) s = 0.0;
-  for (double& m : mad) m = 0.0;
+  for (std::int64_t& m : steps) m = 0;
   sweep_records(recs, csi, window_us / 2, keep_lo, keep_hi, stride,
-                sums.data(), mad.data(), kept.data());
+                sums.data(), steps.data(), kept.data());
   if (recs.empty()) {
     // No rows: every column is degenerate, so every divisor is 1.0.
     for (double& m : mad) m = 1.0;
     return;
   }
   const auto n = static_cast<double>(recs.size());
-  for (double& m : mad) {
-    const double mean_abs = m / n;
-    m = mean_abs <= 0.0 ? 1.0 : mean_abs;
+  for (std::size_t c = 0; c < stride; ++c) {
+    const double mean_abs =
+        std::ldexp(static_cast<double>(steps[c]), -kCenteredGridBits) / n;
+    mad[c] = mean_abs <= 0.0 ? 1.0 : mean_abs;
   }
 }
 
@@ -280,9 +310,10 @@ void condition_records(MeasurementSource source, TimeUs movavg_window_us,
   }
   const std::size_t stride = out.stride();
   ws.row_sums.resize(stride);
+  ws.row_mad_steps.resize(stride);
   ws.row_mads.resize(stride);
   center_records(recs, want_csi, movavg_window_us, keep_lo, keep_hi, stride,
-                 ws.row_sums, ws.row_mads, out.rows);
+                 ws.row_sums, ws.row_mad_steps, ws.row_mads, out.rows);
   divide_rows(out.rows.data(), kept, stride, ws.row_mads.data());
   if (auto* m = obs::metrics()) {
     m->counter("reader.conditioning.traces_total").add(1);

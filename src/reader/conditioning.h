@@ -67,6 +67,17 @@ struct ConditionedTrace {
 void copy_stream(const ConditionedTrace& ct, std::size_t stream,
                  ConditionedTrace& out);
 
+/// Conditioning's exact grids (DESIGN.md §15). Each raw measurement is
+/// rounded to a multiple of 2^-kRawGridBits before it enters a window
+/// sum, and each centered value's magnitude to a multiple of
+/// 2^-kCenteredGridBits before it enters its lane's MAD sum, so both sums
+/// are exact: a centered value depends only on the records in its window,
+/// and a divisor only on the set of records, never on where the capture
+/// starts or in which order records enter and leave. The grids hold every
+/// measurement within wifi::kMaxMeasurementMagnitude.
+inline constexpr int kRawGridBits = 24;
+inline constexpr int kCenteredGridBits = 30;
+
 /// Which NIC measurement feeds the decoder.
 enum class MeasurementSource {
   kCsi,   ///< 30 sub-channels x 3 antennas (records without CSI skipped)

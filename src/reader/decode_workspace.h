@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "reader/conditioning.h"
@@ -33,6 +34,8 @@ struct DecodeWorkspace {
   /// The usable records, read in place by the centering kernel.
   std::vector<const wifi::CaptureRecord*> records;
   std::vector<double> row_sums;       ///< per-lane window-sum scratch
+  /// Per-lane MAD sums, in steps of 2^-kCenteredGridBits.
+  std::vector<std::int64_t> row_mad_steps;
   std::vector<double> row_mads;       ///< per-lane MAD divisors
 
   // -- frame sync (sync_search, slot_sync.h) --

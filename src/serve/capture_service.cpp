@@ -12,16 +12,17 @@ namespace wb::serve {
 
 namespace {
 
-/// Every measurement the decoder may read is finite: RSSI always, CSI when
-/// the record carries it.
-bool measurements_finite(const wifi::CaptureRecord& rec) {
+/// Every measurement the decoder may read is finite and within
+/// wifi::kMaxMeasurementMagnitude: RSSI always, CSI when the record
+/// carries it.
+bool measurements_in_range(const wifi::CaptureRecord& rec) {
   for (const double v : rec.rssi_dbm) {
-    if (!std::isfinite(v)) return false;
+    if (!wifi::measurement_in_range(v)) return false;
   }
   if (!rec.has_csi) return true;
   for (const auto& antenna : rec.csi) {
     for (const double v : antenna) {
-      if (!std::isfinite(v)) return false;
+      if (!wifi::measurement_in_range(v)) return false;
     }
   }
   return true;
@@ -134,9 +135,10 @@ Error CaptureService::submit(std::uint32_t session,
   // Malformed records are refused here, before the ring: past this point
   // the decoder's contracts (time order, finite measurements) would abort
   // the process instead.
-  if (!measurements_finite(rec)) {
+  if (!measurements_in_range(rec)) {
     return Error::make(ErrorCode::kInvalidArguments,  // wb-analyze: allow(realtime-alloc): reject-path error message; the accept path below is allocation-free (0 allocs/record per BENCH_serve)
-                       "record carries a non-finite CSI or RSSI value");
+                       "record carries a non-finite or out-of-range CSI or "
+                       "RSSI value");
   }
   if (!s->admit_in_order(rec.timestamp_us)) {
     return Error::make(ErrorCode::kInvalidArguments,  // wb-analyze: allow(realtime-alloc): reject-path error message; the accept path below is allocation-free (0 allocs/record per BENCH_serve)

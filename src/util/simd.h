@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 // Function multiversioning hook (GCC/Clang on x86-64). Annotating a hot
 // kernel with WB_SIMD_MULTIVERSION makes the compiler emit an extra clone
@@ -285,5 +286,17 @@ struct pack {
 
 /// The pack type the decode kernels use.
 using dpack = pack<double, kLanes>;
+
+/// Per-lane IEEE-754 bit pattern: lane i holds the 64 bits of v's lane i
+/// as a signed integer (std::bit_cast per lane; no arithmetic). Integer
+/// packs add and subtract in two's-complement lanes.
+template <std::size_t N>
+WB_SIMD_INLINE pack<std::int64_t, N> bits(pack<double, N> v) {
+  static_assert(sizeof(std::int64_t) == sizeof(double),
+                "a double's bit pattern fills one 64-bit lane");
+  pack<std::int64_t, N> r;
+  __builtin_memcpy(&r.lane, &v.lane, sizeof(r.lane));
+  return r;
+}
 
 }  // namespace wb::simd

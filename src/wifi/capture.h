@@ -30,6 +30,19 @@ struct CaptureRecord {
 
 using CaptureTrace = std::vector<CaptureRecord>;
 
+/// Largest |measurement| (CSI amplitude or RSSI) a record may carry: 2^16,
+/// past any 8- or 16-bit NIC report. The reader's conditioning grids
+/// (DESIGN.md §15) round every value inside it exactly, so the capture
+/// CSV reader and the capture service refuse a record outside it as they
+/// refuse a non-finite one.
+inline constexpr double kMaxMeasurementMagnitude = 65'536.0;
+
+/// True when v is finite and |v| <= kMaxMeasurementMagnitude (false for
+/// NaN: both comparisons fail).
+inline bool measurement_in_range(double v) {
+  return v >= -kMaxMeasurementMagnitude && v <= kMaxMeasurementMagnitude;
+}
+
 /// Total number of scalar CSI streams in a record (antennas x
 /// sub-channels) — the decoder treats each as an independent channel
 /// (paper §3.2: "treating multiple antennas as additional sub-channels").

@@ -45,8 +45,10 @@ std::vector<std::string> split(const std::string& line) {
 }
 
 /// Strict full-cell parse; `column` is the 1-based cell index for errors.
-/// Floating-point cells must also be finite: from_chars accepts nan/inf,
-/// which no NIC reports and the decoder's contracts reject.
+/// Floating-point cells must also be finite and within
+/// kMaxMeasurementMagnitude: from_chars accepts nan/inf, which no NIC
+/// reports and the decoder's contracts reject, and conditioning's grids
+/// hold only values inside the bound.
 template <typename T>
 T parse_cell(const std::string& cell, std::size_t line_no, std::size_t column,
              const char* what) {
@@ -58,6 +60,10 @@ T parse_cell(const std::string& cell, std::size_t line_no, std::size_t column,
     if (!std::isfinite(value)) {
       fail_cell(line_no, column, std::string("expected finite ") + what,
                 cell);
+    }
+    if (!measurement_in_range(value)) {
+      fail_cell(line_no, column,
+                std::string("expected ") + what + " within +-65536", cell);
     }
   }
   return value;

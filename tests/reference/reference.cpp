@@ -44,6 +44,11 @@ std::vector<std::uint64_t> bits(const std::vector<double>& xs) {
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
+/// x in whole steps of 2^-grid_bits, rounded to nearest, ties to even.
+std::int64_t grid_steps(double x, int grid_bits) {
+  return static_cast<std::int64_t>(std::nearbyint(std::ldexp(x, grid_bits)));
+}
+
 }  // namespace
 
 void center(std::span<const TimeUs> ts, std::span<const double> xs,
@@ -60,17 +65,19 @@ void center(std::span<const TimeUs> ts, std::span<const double> xs,
   const TimeUs half = window_us / 2;
   std::size_t head = 0;  // first index inside [t_k - half, t_k + half]
   std::size_t tail = 0;  // one past the last index inside
-  double sum = 0.0;
+  std::int64_t sum = 0;  // grid steps of 2^-kRawGridBits
   for (std::size_t k = 0; k < xs.size(); ++k) {
     while (tail < xs.size() && ts[tail] <= ts[k] + half) {
-      sum += xs[tail];
+      sum += grid_steps(xs[tail], reader::kRawGridBits);
       ++tail;
     }
     while (ts[head] < ts[k] - half) {
-      sum -= xs[head];
+      sum -= grid_steps(xs[head], reader::kRawGridBits);
       ++head;
     }
-    const double mean = sum / static_cast<double>(tail - head);
+    const double mean =
+        std::ldexp(static_cast<double>(sum), -reader::kRawGridBits) /
+        static_cast<double>(tail - head);
     out[k] = xs[k] - mean;
   }
 }
@@ -80,10 +87,12 @@ void normalize_mad(std::span<const double> x, std::span<double> out) {
   WB_REQUIRE(out.data() == x.data() ||
                  !spans_overlap(x.data(), x.size(), out.data(), out.size()),
              "out must fully alias x (in-place) or not overlap at all");
-  double mad = 0.0;
-  for (double v : x) mad += std::abs(v);
+  std::int64_t steps = 0;  // grid steps of 2^-kCenteredGridBits
+  for (double v : x) steps += grid_steps(std::abs(v), reader::kCenteredGridBits);
   if (x.empty()) return;
-  mad /= static_cast<double>(x.size());
+  const double mad =
+      std::ldexp(static_cast<double>(steps), -reader::kCenteredGridBits) /
+      static_cast<double>(x.size());
   if (mad <= 0.0) {
     std::copy(x.begin(), x.end(), out.begin());
     return;

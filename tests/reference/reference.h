@@ -46,16 +46,19 @@ struct StreamTrace {
 // ---- conditioning ----
 
 /// out_k = x_k - mean{x_j : t_j in [t_k - w/2, t_k + w/2]}: a centered
-/// window over time, its sum one running double sum that adds packets as
-/// they enter and subtracts them as they leave. `ts` must be sorted, the
+/// window over time. Its sum is an int64 count of 2^-kRawGridBits steps:
+/// each x_j rounded to the grid (nearest, ties to even) is added as it
+/// enters and subtracted as it leaves, and the mean is that count scaled
+/// back and divided once by the window's size. `ts` must be sorted, the
 /// window positive, and `out` as long as `xs` without aliasing it (the
 /// window re-reads samples behind the cursor).
 void center(std::span<const TimeUs> ts, std::span<const double> xs,
             TimeUs window_us, std::span<double> out);
 
-/// out = x / mean|x|, the mean summed in order from 0.0; x is copied
-/// unchanged when the mean is not positive. `out` may be `x` itself but
-/// must not partly overlap it.
+/// out = x / mean|x|. The mean is an int64 count of 2^-kCenteredGridBits
+/// steps, each |x| rounded to that grid, scaled back and divided once by
+/// the length; x is copied unchanged when the mean is not positive. `out`
+/// may be `x` itself but must not partly overlap it.
 void normalize_mad(std::span<const double> x, std::span<double> out);
 
 /// What condition() reuses between calls.

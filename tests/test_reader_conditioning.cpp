@@ -1,6 +1,7 @@
 #include "reader/conditioning.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -407,6 +408,41 @@ TEST(Conditioning, BatchedPipelineBitIdenticalToScalarReference) {
     reference::expect_bitwise(
         condition(trace, source, TimeUs{20'000}),
         reference_condition(trace, source, TimeUs{20'000}));
+  }
+}
+
+TEST(Conditioning, CenteredValueDependsOnlyOnItsWindow) {
+  // Exact window sums (DESIGN.md §15): dropping the capture's first k
+  // records leaves the centered value of every record whose window lies
+  // inside both captures bit for bit unchanged. A running double sum
+  // failed this: its rounding depended on where the capture started.
+  sim::RngStream rng(33);
+  const TimeUs window{20'000};
+  std::vector<TimeUs> ts;
+  std::vector<double> xs;
+  for (int i = 0; i < 400; ++i) {
+    ts.push_back(TimeUs{i * 333});
+    xs.push_back(20.0 + 0.013 * i + 0.7 * rng.normal());
+  }
+  const std::vector<double> full = center(ts, xs, window);
+  const std::size_t per_window = 61;  // records in 20 ms at 333 us
+  for (const std::size_t k : {std::size_t{1}, std::size_t{17}, per_window,
+                              2 * per_window}) {
+    SCOPED_TRACE(k);
+    const std::vector<TimeUs> ts_k(ts.begin() + static_cast<long>(k),
+                                   ts.end());
+    const std::vector<double> xs_k(xs.begin() + static_cast<long>(k),
+                                   xs.end());
+    const std::vector<double> cut = center(ts_k, xs_k, window);
+    std::size_t compared = 0;
+    for (std::size_t i = k; i < ts.size(); ++i) {
+      if (ts[i] - window / 2 < ts_k.front()) continue;  // window cut off
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(full[i]),
+                std::bit_cast<std::uint64_t>(cut[i - k]))
+          << "record " << i;
+      ++compared;
+    }
+    EXPECT_GT(compared, 200u);
   }
 }
 

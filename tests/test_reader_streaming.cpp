@@ -194,10 +194,11 @@ TEST(StreamingDecoder, FrameNeverEmittedTwice) {
 //
 // Each capture is replayed through push(rec, sink) and then flush(sink),
 // and every emitted frame's start, sync score (bit for bit), stream set
-// and payload is pinned. The values were taken from the per-start sync
-// probe that the phase-grid search replaced; any change to sync, the
-// re-scan loop or the history trim that moves a decoded output fails
-// here.
+// and payload is pinned. The starts, streams and payloads were taken from
+// the per-start sync probe that the phase-grid search replaced; the sync
+// scores were re-pinned when conditioning's sums moved onto exact grids
+// (DESIGN.md §15). Any change to sync, the re-scan loop or the history
+// trim that moves a decoded output fails here.
 
 struct FramePin {
   std::int64_t start_us;
@@ -232,7 +233,7 @@ TEST(StreamingPins, OneDesignedFrame) {
   const auto trace = make_trace({TimeUs{700'000}}, {payload}, TimeUs{5'000},
                                 TimeUs{1'500'000}, 22);
   const auto got = replay(trace, stream_config(24, TimeUs{5'000}));
-  expect_pins(got, {{699'889, 0x1.41d6bc82c07aap+1,
+  expect_pins(got, {{699'889, 0x1.41d6bcbbe007ap+1,
                      {40, 59, 85, 31, 51, 46, 49, 88, 56, 33},
                      "111000111010010000010111"}});
   ASSERT_EQ(got.size(), 1u);
@@ -248,10 +249,10 @@ TEST(StreamingPins, TwoBackToBackFrames) {
       make_trace({TimeUs{700'000}, TimeUs{885'000}}, {p1, p2}, TimeUs{5'000},
                  TimeUs{1'600'000}, 25);
   const auto got = replay(trace, stream_config(24, TimeUs{5'000}));
-  expect_pins(got, {{700'225, 0x1.6431c364914dep+1,
+  expect_pins(got, {{700'225, 0x1.6431c360c13dap+1,
                      {51, 50, 30, 56, 35, 0, 6, 11, 3, 57},
                      "011010111000000110000000"},
-                    {885'225, 0x1.fdc811a13ed03p+0,
+                    {885'225, 0x1.fdc8119dcb72p+0,
                      {51, 50, 30, 56, 35, 0, 3, 45, 40, 41},
                      "001000100111100000010101"}});
   ASSERT_EQ(got.size(), 2u);
@@ -268,19 +269,19 @@ TEST(StreamingPins, QuietAir) {
   EXPECT_TRUE(replay(trace, cfg).empty());
   cfg.sync_threshold = 0.25;
   expect_pins(replay(trace, cfg),
-              {{173'026, 0x1.7988b386e837ap-2,
+              {{173'026, 0x1.7988b31c9d37dp-2,
                 {8, 5, 0, 76, 47, 11, 51, 43, 49, 46},
                 "111111100010001000000000"},
-               {397'109, 0x1.0809b68d5531p-2,
+               {397'109, 0x1.0809b691a42aep-2,
                 {8, 5, 49, 23, 47, 55, 46, 88, 50, 69},
                 "110011110010111011000011"},
-               {636'108, 0x1.1763a93debde2p-2,
+               {636'108, 0x1.1763a96415fedp-2,
                 {5, 79, 77, 83, 8, 48, 70, 78, 85, 63},
                 "000010000001011011011001"},
-               {907'569, 0x1.04208aaebdc22p-2,
+               {907'569, 0x1.04208aed02946p-2,
                 {8, 7, 5, 59, 62, 1, 18, 45, 55, 43},
                 "110000000100000000100000"},
-               {1'206'593, 0x1.17e2f9009e99fp-2,
+               {1'206'593, 0x1.17e2f942310a1p-2,
                 {8, 78, 85, 53, 76, 64, 81, 19, 49, 39},
                 "001000100000000000000001"}});
 }
@@ -305,7 +306,7 @@ TEST(StreamingPins, FrameScannedAfterHistoryTrim) {
   }
   dec.flush(sink);
   EXPECT_GT(trims, 10u);
-  expect_pins(sink.frames, {{2'400'400, 0x1.3dab459f48ff5p+1,
+  expect_pins(sink.frames, {{2'400'400, 0x1.3dab459e10d8dp+1,
                              {16, 1, 3, 42, 52, 50, 30, 35, 54, 14},
                              "010100010110000010000001"}});
   ASSERT_EQ(sink.frames.size(), 1u);

@@ -363,6 +363,29 @@ TEST(CaptureService, NonFiniteRecordRejectedBeforeRing) {
   EXPECT_TRUE(svc.submit(0, rssi_only).ok());
 }
 
+TEST(CaptureService, OutOfRangeRecordRejectedBeforeRing) {
+  // Conditioning's exact sums hold only values within
+  // kMaxMeasurementMagnitude: a finite 1e300 is refused at submit() and
+  // no decoder sees it.
+  CaptureService svc(serve_config(1, BackpressurePolicy::kBlockProducer, 64));
+  ASSERT_TRUE(svc.attach(0).ok());
+  wifi::CaptureRecord rec = shared_trace().front();
+  rec.csi[2][29] = 1e300;
+  const Error err = svc.submit(0, rec);
+  EXPECT_EQ(err.code(), ErrorCode::kInvalidArguments);
+  rec = shared_trace().front();
+  rec.rssi_dbm[0] = -1e300;
+  EXPECT_EQ(svc.submit(0, rec).code(), ErrorCode::kInvalidArguments);
+  EXPECT_EQ(svc.counters().submitted, 0u);
+  EXPECT_EQ(svc.counters().accepted, 0u);
+  svc.drain_all();
+  EXPECT_EQ(svc.find(0)->records_dispatched(), 0u);
+  // The bound itself is in range.
+  rec = shared_trace().front();
+  rec.csi[0][0] = wifi::kMaxMeasurementMagnitude;
+  EXPECT_TRUE(svc.submit(0, rec).ok());
+}
+
 TEST(CaptureService, DetachRetiresForensicsAndFreesSlot) {
   CaptureService svc(serve_config(1, BackpressurePolicy::kBlockProducer, 64));
   ASSERT_TRUE(svc.attach(0).ok());

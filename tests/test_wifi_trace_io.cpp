@@ -189,6 +189,17 @@ TEST(TraceIo, RejectsNonFiniteMeasurements) {
   expect_rejected(with_cell(one_row_csv(true), 95, "infinity"), "column 96");
 }
 
+TEST(TraceIo, RejectsMeasurementsOutsideTheConditioningGrid) {
+  // Conditioning's exact sums hold only values within
+  // kMaxMeasurementMagnitude; a finite 1e300 is refused like a NaN.
+  expect_rejected(with_cell(one_row_csv(true), 6, "1e300"),
+                  "line 2, column 7: expected csi value within +-65536");
+  expect_rejected(with_cell(one_row_csv(true), 3, "-65536.5"),
+                  "line 2, column 4: expected rssi value within +-65536");
+  std::stringstream at_bound(with_cell(one_row_csv(true), 3, "-65536"));
+  EXPECT_NO_THROW(read_capture_csv(at_bound));
+}
+
 TEST(TraceIo, RejectsNonEmptyCsiOnRssiOnlyRow) {
   // Regression: CSI cells on has_csi=0 rows were silently ignored, so a
   // row misaligned with the header round-tripped to different data.
