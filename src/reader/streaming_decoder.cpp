@@ -31,12 +31,16 @@ void StreamingUplinkDecoder::reset() {
   consumed_until_ = TimeUs{0};
   next_scan_at_ = TimeUs{0};
   frames_emitted_ = 0;
+  scans_ = 0;
+  records_conditioned_ = 0;
   drained_reported_ = false;
 }
 
 bool StreamingUplinkDecoder::scan(TimeUs search_to_us, FrameSink& sink) {
   dec_.set_search_window(consumed_until_, search_to_us);
   dec_.decode_into(buffer_, ws_, scratch_);
+  ++scans_;
+  records_conditioned_ += ws_.records.size();
   if (!scratch_.found) return false;
   consumed_until_ = scratch_.start_us + cfg_.decoder.frame_duration_us();
   ++frames_emitted_;

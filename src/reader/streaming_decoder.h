@@ -75,7 +75,7 @@ class StreamingUplinkDecoder {
 
   /// Return to the freshly constructed state while keeping the buffer's
   /// and workspace's capacity: clears buffered records, the consumed/scan
-  /// cursors, and the emit counter. Lets a serving layer reuse one
+  /// cursors, and the emit and scan counters. Lets a serving layer reuse one
   /// decoder (and its warmed allocations) across session attach cycles.
   void reset();
 
@@ -84,6 +84,11 @@ class StreamingUplinkDecoder {
 
   /// Total frames emitted so far.
   std::uint64_t frames_emitted() const { return frames_emitted_; }
+
+  /// Scans run so far, and the records they ran through the centering
+  /// kernel (every usable buffered record, per scan).
+  std::uint64_t scans() const { return scans_; }
+  std::uint64_t records_conditioned() const { return records_conditioned_; }
 
   const StreamingDecoderConfig& config() const { return cfg_; }
 
@@ -104,6 +109,8 @@ class StreamingUplinkDecoder {
   TimeUs consumed_until_{0};  ///< frames may only start after this
   TimeUs next_scan_at_{0};
   std::uint64_t frames_emitted_ = 0;
+  std::uint64_t scans_ = 0;
+  std::uint64_t records_conditioned_ = 0;
   /// flush() already reported this session's drained tail (keeps the
   /// idempotent second flush() from double-counting the drop; reset when
   /// push() buffers new records).

@@ -309,8 +309,20 @@ std::uint64_t CaptureService::frames_total() const noexcept {
   return frames;
 }
 
+CaptureService::ScanTotals CaptureService::scan_totals() const {
+  ScanTotals totals;
+  std::vector<Session*> live(sessions_.max_sessions(), nullptr);
+  const std::size_t n = sessions_.snapshot_attached(live.data(), live.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    totals.scans += live[i]->decoder().scans();
+    totals.records_conditioned += live[i]->decoder().records_conditioned();
+  }
+  return totals;
+}
+
 std::vector<std::pair<std::string, std::string>> CaptureService::properties()
     const {
+  const ScanTotals scans = scan_totals();
   return {
       {"dispatch.batches_total", std::to_string(counters_.dispatch_batches)},
       {"dispatch.records_total", std::to_string(counters_.routed)},
@@ -319,6 +331,9 @@ std::vector<std::pair<std::string, std::string>> CaptureService::properties()
       {"ingest.dropped_backpressure_total",
        std::to_string(counters_.dropped_backpressure)},
       {"ingest.submitted_total", std::to_string(counters_.submitted)},
+      {"reader.streaming.records_conditioned_total",
+       std::to_string(scans.records_conditioned)},
+      {"reader.streaming.scans_total", std::to_string(scans.scans)},
       {"ring.capacity", std::to_string(ring_.capacity())},
       {"ring.depth", std::to_string(ring_.size())},
       {"ring.depth_peak", std::to_string(ring_.depth_peak())},
@@ -343,6 +358,10 @@ void CaptureService::publish_metrics() const {
   m->counter("serve.dispatch.records_total").add(counters_.routed);
   m->counter("serve.dispatch.batches_total").add(counters_.dispatch_batches);
   m->counter("serve.session.frames_total").add(frames_total());
+  const ScanTotals scans = scan_totals();
+  m->counter("reader.streaming.scans_total").add(scans.scans);
+  m->counter("reader.streaming.records_conditioned_total")
+      .add(scans.records_conditioned);
   m->gauge("serve.ring.depth_peak_count")
       .max_of(static_cast<double>(ring_.depth_peak()));
   m->gauge("serve.session.active_count")

@@ -162,6 +162,15 @@ class CaptureService {
   /// Total frames emitted across currently attached sessions.
   std::uint64_t frames_total() const noexcept;
 
+  /// Streaming scans across currently attached sessions, and the records
+  /// they ran through the centering kernel (properties() and
+  /// publish_metrics() export both as reader.streaming.*_total).
+  struct ScanTotals {
+    std::uint64_t scans = 0;
+    std::uint64_t records_conditioned = 0;
+  };
+  ScanTotals scan_totals() const;
+
   /// Shill-style property snapshot: sorted (key, value) pairs capturing
   /// configuration, state, and counters. Stable keys; values are decimal
   /// numbers or snake_case tokens.

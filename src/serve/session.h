@@ -134,6 +134,10 @@ class Session final : public reader::FrameSink {
   std::size_t frames_kept() const noexcept;
   /// i-th oldest retained frame, i < frames_kept().
   const DecodedFrame& frame(std::size_t i) const;
+  /// The streaming decoder (its scan counters restart at attach).
+  const reader::StreamingUplinkDecoder& decoder() const noexcept {
+    return decoder_;
+  }
   /// Records ever dispatched through the decoder since attach.
   std::uint64_t records_dispatched() const noexcept {
     return records_dispatched_;

@@ -459,6 +459,32 @@ TEST(CaptureService, PropertiesSnapshotIsSortedAndComplete) {
   EXPECT_EQ(value_of("sessions.active"), "1");
   EXPECT_EQ(value_of("sessions.max"), "8");
   EXPECT_EQ(value_of("ingest.submitted_total"), "0");
+  EXPECT_EQ(value_of("reader.streaming.scans_total"), "0");
+  EXPECT_EQ(value_of("reader.streaming.records_conditioned_total"), "0");
+}
+
+TEST(CaptureService, ScanCountersSumTheSessionsDecoders) {
+  CaptureService svc(serve_config(2, BackpressurePolicy::kBlockProducer, 64));
+  ASSERT_TRUE(svc.attach(0).ok());
+  ASSERT_TRUE(svc.attach(1).ok());
+  auto feed =
+      wifi::MultiSessionFeed(wifi::fan_out(shared_trace(), 2, TimeUs{500}));
+  std::uint32_t session = 0;
+  wifi::CaptureRecord rec{};
+  while (feed.next(session, rec)) {
+    ASSERT_TRUE(svc.submit(session, rec).ok());
+  }
+  svc.drain_all();
+  const auto& d0 = svc.find(0)->decoder();
+  const auto& d1 = svc.find(1)->decoder();
+  EXPECT_GT(d0.scans(), 0u);
+  // Every scan centers at least one record and at most the whole capture.
+  EXPECT_GE(d0.records_conditioned(), d0.scans());
+  EXPECT_LE(d0.records_conditioned(), d0.scans() * shared_trace().size());
+  const auto totals = svc.scan_totals();
+  EXPECT_EQ(totals.scans, d0.scans() + d1.scans());
+  EXPECT_EQ(totals.records_conditioned,
+            d0.records_conditioned() + d1.records_conditioned());
 }
 
 TEST(CaptureService, PublishMetricsWritesServeNames) {
