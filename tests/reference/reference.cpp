@@ -44,9 +44,17 @@ std::vector<std::uint64_t> bits(const std::vector<double>& xs) {
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// x in whole steps of 2^-grid_bits, rounded to nearest, ties to even.
-std::int64_t grid_steps(double x, int grid_bits) {
-  return static_cast<std::int64_t>(std::nearbyint(std::ldexp(x, grid_bits)));
+/// x in whole steps of 2^-grid_bits (scale = 2^grid_bits), rounded to
+/// nearest, ties to even: x * scale is exact, and adding and subtracting
+/// 1.5 * 2^52 rounds it to an integer for every |x * scale| < 2^51.
+std::int64_t grid_steps(double x, double scale) {
+  constexpr double kRound = 0x1.8p52;
+  return static_cast<std::int64_t>((x * scale + kRound) - kRound);
+}
+
+/// 2^bits as a double, exactly.
+constexpr double pow2(int bits) {
+  return static_cast<double>(std::int64_t{1} << bits);
 }
 
 }  // namespace
@@ -63,21 +71,21 @@ void center(std::span<const TimeUs> ts, std::span<const double> xs,
   WB_REQUIRE(std::is_sorted(ts.begin(), ts.end()),
              "capture timestamps must be non-decreasing");
   const TimeUs half = window_us / 2;
+  constexpr double kScale = pow2(reader::kRawGridBits);
   std::size_t head = 0;  // first index inside [t_k - half, t_k + half]
   std::size_t tail = 0;  // one past the last index inside
   std::int64_t sum = 0;  // grid steps of 2^-kRawGridBits
   for (std::size_t k = 0; k < xs.size(); ++k) {
     while (tail < xs.size() && ts[tail] <= ts[k] + half) {
-      sum += grid_steps(xs[tail], reader::kRawGridBits);
+      sum += grid_steps(xs[tail], kScale);
       ++tail;
     }
     while (ts[head] < ts[k] - half) {
-      sum -= grid_steps(xs[head], reader::kRawGridBits);
+      sum -= grid_steps(xs[head], kScale);
       ++head;
     }
-    const double mean =
-        std::ldexp(static_cast<double>(sum), -reader::kRawGridBits) /
-        static_cast<double>(tail - head);
+    const double mean = static_cast<double>(sum) / kScale /
+                        static_cast<double>(tail - head);
     out[k] = xs[k] - mean;
   }
 }
@@ -87,12 +95,12 @@ void normalize_mad(std::span<const double> x, std::span<double> out) {
   WB_REQUIRE(out.data() == x.data() ||
                  !spans_overlap(x.data(), x.size(), out.data(), out.size()),
              "out must fully alias x (in-place) or not overlap at all");
+  constexpr double kScale = pow2(reader::kCenteredGridBits);
   std::int64_t steps = 0;  // grid steps of 2^-kCenteredGridBits
-  for (double v : x) steps += grid_steps(std::abs(v), reader::kCenteredGridBits);
+  for (double v : x) steps += grid_steps(std::abs(v), kScale);
   if (x.empty()) return;
-  const double mad =
-      std::ldexp(static_cast<double>(steps), -reader::kCenteredGridBits) /
-      static_cast<double>(x.size());
+  const double mad = static_cast<double>(steps) / kScale /
+                     static_cast<double>(x.size());
   if (mad <= 0.0) {
     std::copy(x.begin(), x.end(), out.begin());
     return;
