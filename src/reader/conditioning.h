@@ -12,6 +12,9 @@
 // decoder treats every stream identically after this stage.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/check.h"
@@ -78,6 +81,10 @@ void copy_stream(const ConditionedTrace& ct, std::size_t stream,
 inline constexpr int kRawGridBits = 24;
 inline constexpr int kCenteredGridBits = 30;
 
+/// A lane's MAD sum in 2^-kCenteredGridBits steps: 128 bits, so it is
+/// exact for any record count (DESIGN.md §15).
+__extension__ typedef __int128 MadSum;
+
 /// Which NIC measurement feeds the decoder.
 enum class MeasurementSource {
   kCsi,   ///< 30 sub-channels x 3 antennas (records without CSI skipped)
@@ -128,5 +135,105 @@ void condition_records(MeasurementSource source, TimeUs movavg_window_us,
 
 /// The packets of a conditioned trace.
 PacketSpan packet_span(const ConditionedTrace& ct);
+
+/// condition_records for a streaming reader's record buffer, which
+/// between calls grows at its end and loses records only at its head,
+/// through trim() (DESIGN.md §15). Centered values are exact, so a
+/// record's value changes only when a record enters or leaves its window.
+/// Between calls the conditioner keeps the exact MAD steps of each
+/// closed block of records (kScanBlockRecords of them, none of whose
+/// windows can gain a record) and the window sums where its next sweep
+/// resumes. Each call runs the centering kernel only on the kept rows,
+/// on the records the newest record's window still reaches, and on the
+/// blocks a trim reopened. Its output equals condition_records' on the
+/// same records, bit for bit.
+class ScanConditioner {
+ public:
+  ScanConditioner(MeasurementSource source, TimeUs movavg_window_us);
+
+  MeasurementSource source() const { return source_; }
+  TimeUs movavg_window_us() const { return window_; }
+
+  /// condition_records on the records collect_records left in
+  /// `ws.records`: the buffer's usable records, which must begin with
+  /// every usable record the last call saw that trim() kept.
+  WB_REALTIME void condition(DecodeWorkspace& ws, ConditionedTrace& out,
+                             TimeUs keep_from_us, TimeUs keep_to_us);
+
+  /// Call just before buffer[0, first_kept) leaves the buffer, every one
+  /// of those records stamped before buffer[first_kept].
+  WB_REALTIME void trim(const wifi::CaptureTrace& buffer,
+                        std::size_t first_kept);
+
+  /// Forget every record and zero records_centered() (keeps capacity).
+  void reset();
+
+  /// Records run through the centering kernel so far.
+  std::uint64_t records_centered() const { return centered_; }
+
+  /// Records per closed block.
+  static constexpr std::uint64_t kScanBlockRecords = 64;
+
+ private:
+  /// A sweep's window before it centers record `next`: the exact sums of
+  /// records [head, tail). Records are numbered in arrival order, usable
+  /// records only, from the last restart.
+  struct Window {
+    std::uint64_t next = 0;
+    std::uint64_t head = 0;
+    std::uint64_t tail = 0;
+    std::vector<double> sums;
+    /// An empty window before record `at`.
+    void start_at(std::uint64_t at) {
+      next = head = tail = at;
+      std::fill(sums.begin(), sums.end(), 0.0);
+    }
+  };
+  /// What one call centers: records [base_, head_end) and [main, end);
+  /// it only moves the window over [head_end, main). Blocks wholly below
+  /// `settled` close; the next call resumes at `park`.
+  struct Plan {
+    std::uint64_t head_end = 0;
+    std::uint64_t main = 0;
+    std::uint64_t settled = 0;
+    std::uint64_t park = 0;
+  };
+
+  /// Forget every record; the next one is numbered `base`.
+  void restart(std::uint64_t base);
+  /// Sweeps window `w` to record `to` as `plan` says (parking a copy in
+  /// cursor_ at plan.park when `park`).
+  void run(Window& w, std::uint64_t to, const Plan& plan,
+           std::span<const wifi::CaptureRecord* const> recs,
+           std::size_t keep_lo, std::size_t keep_hi, double* kept,
+           bool park);
+  std::int64_t* block(std::uint64_t b) {
+    return blocks_.data() + (b - first_block_) * stride_;
+  }
+
+  MeasurementSource source_;
+  TimeUs window_;
+  std::size_t stride_;
+  std::uint64_t base_ = 0;  ///< number of the buffer's first usable record
+  std::uint64_t seen_ = 0;  ///< one past the last record the last call saw
+  /// Blocks [closed_lo_, closed_hi_) are closed: their slots in blocks_
+  /// hold the MAD steps of their buffered records, and closed_total_ the
+  /// slots' sum. Block b holds records [b, b + 1) * kScanBlockRecords;
+  /// blocks_ starts at first_block_, the block of the buffer's head, and
+  /// a closed range never starts past it unless a trim reopened the
+  /// blocks in between. An empty range is [first_block_, first_block_).
+  std::uint64_t first_block_ = 0;
+  std::uint64_t closed_lo_ = 0;
+  std::uint64_t closed_hi_ = 0;
+  std::vector<std::int64_t> blocks_;
+  std::vector<MadSum> closed_total_;
+  std::vector<MadSum> open_total_;  ///< this call's records in no block
+  std::vector<std::int64_t> chunk_;  ///< one kernel call's MAD steps
+  Window cursor_;  ///< the window at the last call's park, if has_cursor_
+  bool has_cursor_ = false;
+  Window run_;  ///< scratch windows for one call's sweeps
+  Window head_;
+  std::uint64_t centered_ = 0;
+};
 
 }  // namespace wb::reader

@@ -34,7 +34,8 @@ struct DecodeWorkspace {
   /// The usable records, read in place by the centering kernel.
   std::vector<const wifi::CaptureRecord*> records;
   std::vector<double> row_sums;       ///< per-lane window-sum scratch
-  /// Per-lane MAD sums, in steps of 2^-kCenteredGridBits.
+  /// Per-lane MAD steps (of 2^-kCenteredGridBits) of one kernel call,
+  /// folded into 128-bit sums after each call.
   std::vector<std::int64_t> row_mad_steps;
   std::vector<double> row_mads;       ///< per-lane MAD divisors
 

@@ -24,7 +24,9 @@ UplinkDecoderConfig make_decoder_config(const StreamingDecoderConfig& cfg) {
 }  // namespace
 
 StreamingUplinkDecoder::StreamingUplinkDecoder(StreamingDecoderConfig cfg)
-    : cfg_(std::move(cfg)), dec_(make_decoder_config(cfg_)) {}
+    : cfg_(std::move(cfg)),
+      dec_(make_decoder_config(cfg_)),
+      cond_(cfg_.decoder.source, cfg_.decoder.movavg_window_us) {}
 
 void StreamingUplinkDecoder::reset() {
   buffer_.clear();  // keeps capacity: the next session reuses the storage
@@ -32,15 +34,14 @@ void StreamingUplinkDecoder::reset() {
   next_scan_at_ = TimeUs{0};
   frames_emitted_ = 0;
   scans_ = 0;
-  records_conditioned_ = 0;
+  cond_.reset();
   drained_reported_ = false;
 }
 
 bool StreamingUplinkDecoder::scan(TimeUs search_to_us, FrameSink& sink) {
   dec_.set_search_window(consumed_until_, search_to_us);
-  dec_.decode_into(buffer_, ws_, scratch_);
+  dec_.decode_into(buffer_, ws_, scratch_, &cond_);
   ++scans_;
-  records_conditioned_ += ws_.records.size();
   if (!scratch_.found) return false;
   consumed_until_ = scratch_.start_us + cfg_.decoder.frame_duration_us();
   ++frames_emitted_;
@@ -65,6 +66,8 @@ void StreamingUplinkDecoder::trim_history() {
         return r.timestamp_us < t;
       });
   if (first_kept != buffer_.begin()) {
+    cond_.trim(buffer_,
+               static_cast<std::size_t>(first_kept - buffer_.begin()));
     buffer_.erase(buffer_.begin(), first_kept);
   }
 }

@@ -86,9 +86,12 @@ class StreamingUplinkDecoder {
   std::uint64_t frames_emitted() const { return frames_emitted_; }
 
   /// Scans run so far, and the records they ran through the centering
-  /// kernel (every usable buffered record, per scan).
+  /// kernel: each scan's kept rows and the records whose value may have
+  /// changed since the scan before (DESIGN.md §15).
   std::uint64_t scans() const { return scans_; }
-  std::uint64_t records_conditioned() const { return records_conditioned_; }
+  std::uint64_t records_conditioned() const {
+    return cond_.records_centered();
+  }
 
   const StreamingDecoderConfig& config() const { return cfg_; }
 
@@ -104,13 +107,13 @@ class StreamingUplinkDecoder {
   StreamingDecoderConfig cfg_;
   UplinkDecoder dec_;          ///< reused across scans (search window slides)
   DecodeWorkspace ws_;         ///< reused across scans
+  ScanConditioner cond_;       ///< conditioning state kept between scans
   UplinkDecodeResult scratch_; ///< reused scan result
   wifi::CaptureTrace buffer_;
   TimeUs consumed_until_{0};  ///< frames may only start after this
   TimeUs next_scan_at_{0};
   std::uint64_t frames_emitted_ = 0;
   std::uint64_t scans_ = 0;
-  std::uint64_t records_conditioned_ = 0;
   /// flush() already reported this session's drained tail (keeps the
   /// idempotent second flush() from double-counting the drop; reset when
   /// push() buffers new records).

@@ -145,8 +145,12 @@ UplinkDecodeResult UplinkDecoder::decode(
 }
 
 void UplinkDecoder::decode_into(const wifi::CaptureTrace& trace,
-                                DecodeWorkspace& ws,
-                                UplinkDecodeResult& out) const {
+                                DecodeWorkspace& ws, UplinkDecodeResult& out,
+                                ScanConditioner* scans) const {
+  WB_REQUIRE(scans == nullptr ||
+                 (scans->source() == cfg_.source &&
+                  scans->movavg_window_us() == cfg_.movavg_window_us),
+             "a scan conditioner must condition as this decoder does");
   // Sync reads the slots of candidates [from, to], the preamble variance
   // and MRC the frame from the chosen start, so nothing past
   // to + frame_duration or before from is read: conditioning keeps only
@@ -155,8 +159,13 @@ void UplinkDecoder::decode_into(const wifi::CaptureTrace& trace,
   const PacketSpan whole = collect_records(trace, cfg_.source, ws);
   const SearchRange range =
       whole.packets > 0 ? search_range(whole) : SearchRange{};
-  condition_records(cfg_.source, cfg_.movavg_window_us, ws, ws.conditioned,
-                    range.from, range.to + cfg_.frame_duration_us());
+  const TimeUs keep_to = range.to + cfg_.frame_duration_us();
+  if (scans != nullptr) {
+    scans->condition(ws, ws.conditioned, range.from, keep_to);
+  } else {
+    condition_records(cfg_.source, cfg_.movavg_window_us, ws, ws.conditioned,
+                      range.from, keep_to);
+  }
   decode_span_into(ws.conditioned, whole, ws, out);
   // This overload still holds the raw capture, so it is the one place a
   // failed attempt can leave a replayable exemplar behind. wants_exemplar

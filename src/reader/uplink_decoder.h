@@ -128,10 +128,12 @@ class UplinkDecoder {
   /// duration) of the clamped search window, so afterwards
   /// `ws.conditioned` holds that span, not the whole trace. The outputs
   /// are bit-identical to decode_conditioned_into on the whole
-  /// conditioned trace.
+  /// conditioned trace. A streaming reader passes its ScanConditioner
+  /// (same source and window as this decoder), which conditions only the
+  /// records that changed since its last scan, with the same outputs.
   WB_REALTIME void decode_into(const wifi::CaptureTrace& trace,
-                               DecodeWorkspace& ws,
-                               UplinkDecodeResult& out) const;
+                               DecodeWorkspace& ws, UplinkDecodeResult& out,
+                               ScanConditioner* scans = nullptr) const;
 
   /// Pipeline from an already-conditioned trace.
   WB_REALTIME void decode_conditioned_into(const ConditionedTrace& ct,

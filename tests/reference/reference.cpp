@@ -96,7 +96,7 @@ void normalize_mad(std::span<const double> x, std::span<double> out) {
                  !spans_overlap(x.data(), x.size(), out.data(), out.size()),
              "out must fully alias x (in-place) or not overlap at all");
   constexpr double kScale = pow2(reader::kCenteredGridBits);
-  std::int64_t steps = 0;  // grid steps of 2^-kCenteredGridBits
+  reader::MadSum steps = 0;  // grid steps of 2^-kCenteredGridBits
   for (double v : x) steps += grid_steps(std::abs(v), kScale);
   if (x.empty()) return;
   const double mad = static_cast<double>(steps) / kScale /

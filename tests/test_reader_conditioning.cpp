@@ -444,6 +444,189 @@ TEST(Conditioning, CenteredValueDependsOnlyOnItsWindow) {
     }
     EXPECT_GT(compared, 200u);
   }
+
+  // The product's half. Its rows leave divided by the MAD, so the
+  // property shows through ScanConditioner: it sums the MAD steps of its
+  // closed blocks and the window at its cursor while the capture is
+  // whole, keeps both across trim() of the first k records, and
+  // re-centers only the records whose window lost one. Its rows equal
+  // condition_records on the cut capture only if every other record
+  // keeps its centered value bit for bit.
+  wifi::CaptureTrace trace;
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    auto r = record_at(ts[i], 0.0, 0.0, i % 9 != 4);
+    for (auto& ant : r.csi) {
+      for (auto& v : ant) v = xs[i] + 0.3 * rng.normal();
+    }
+    for (auto& v : r.rssi_dbm) v = -40.0 + xs[i] + 0.3 * rng.normal();
+    trace.push_back(r);
+  }
+  const TimeUs keep_from = ts[360];
+  for (const auto source :
+       {MeasurementSource::kCsi, MeasurementSource::kRssi}) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{17}, per_window,
+                                2 * per_window}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "k " << k << " rssi "
+                   << (source == MeasurementSource::kRssi));
+      ScanConditioner scans(source, window);
+      wifi::CaptureTrace buffer = trace;
+      DecodeWorkspace ws;
+      ConditionedTrace got;
+      ConditionedTrace want;
+      collect_records(buffer, source, ws);
+      scans.condition(ws, got, keep_from, TimeUs::max());
+      scans.trim(buffer, k);
+      buffer.erase(buffer.begin(), buffer.begin() + static_cast<long>(k));
+      const std::uint64_t before = scans.records_centered();
+      collect_records(buffer, source, ws);
+      scans.condition(ws, got, keep_from, TimeUs::max());
+      condition_records(source, window, ws, want, keep_from, TimeUs::max());
+      EXPECT_EQ(got.timestamps, want.timestamps);
+      reference::expect_bitwise(got.rows, want.rows);
+      // A closed block of the whole capture was reused, not re-centered.
+      EXPECT_LE(scans.records_centered() - before,
+                ws.records.size() - ScanConditioner::kScanBlockRecords);
+    }
+  }
+}
+
+TEST(Conditioning, MadSumIsExactPastTheInt64Range) {
+  // 2^17 records of +-2^16 in one window center to +-2^16 each: 2^46
+  // steps of 2^-30, so a lane's MAD sum reaches 2^63 steps, one past the
+  // int64 range. Both conditioners fold their int64 lanes into 128-bit
+  // sums, so the divisor is exactly 2^16 and every row exactly +-1.
+  const auto plus = record_at(TimeUs{0}, 0.0, wifi::kMaxMeasurementMagnitude);
+  const auto minus =
+      record_at(TimeUs{0}, 0.0, -wifi::kMaxMeasurementMagnitude);
+  DecodeWorkspace ws;
+  ws.records.resize(std::size_t{1} << 17);
+  for (std::size_t k = 0; k < ws.records.size(); ++k) {
+    ws.records[k] = k % 2 == 0 ? &plus : &minus;
+  }
+  const TimeUs window{20'000};
+  ConditionedTrace one_shot;
+  condition_records(MeasurementSource::kRssi, window, ws, one_shot,
+                    TimeUs{0}, TimeUs::max());
+  ScanConditioner scans(MeasurementSource::kRssi, window);
+  ConditionedTrace scanned;
+  scans.condition(ws, scanned, TimeUs{0}, TimeUs::max());
+  for (const ConditionedTrace* ct : {&one_shot, &scanned}) {
+    ASSERT_EQ(ct->num_packets(), ws.records.size());
+    std::size_t wrong = 0;
+    for (std::size_t k = 0; k < ct->num_packets(); ++k) {
+      for (std::size_t s = 0; s < ct->num_streams(); ++s) {
+        wrong += ct->at(k, s) == (k % 2 == 0 ? 1.0 : -1.0) ? 0 : 1;
+      }
+    }
+    EXPECT_EQ(wrong, 0u);
+  }
+}
+
+/// Replays `trace` into a buffer the way a streaming reader does: after
+/// every `step` records, one ScanConditioner call keeps the rows from the
+/// consumed point on, which then moves to `lag` behind the newest record,
+/// and the records older than `history` behind it leave through trim().
+/// Each call must equal condition_records on the same buffer bit for bit.
+/// Returns the records the conditioner centered and, in `whole`, those a
+/// whole-buffer scan centers.
+std::uint64_t expect_scans_match(const wifi::CaptureTrace& trace,
+                                 MeasurementSource source, TimeUs window,
+                                 std::size_t step, TimeUs lag,
+                                 TimeUs history, std::uint64_t& whole) {
+  ScanConditioner scans(source, window);
+  wifi::CaptureTrace buffer;
+  DecodeWorkspace ws;
+  ConditionedTrace got;
+  ConditionedTrace want;
+  TimeUs consumed{0};
+  whole = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    buffer.push_back(trace[i]);
+    if ((i + 1) % step != 0) continue;
+    const TimeUs now = buffer.back().timestamp_us;
+    collect_records(buffer, source, ws);
+    whole += ws.records.size();
+    scans.condition(ws, got, consumed, now);
+    condition_records(source, window, ws, want, consumed, now);
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got.timestamps, want.timestamps);
+    EXPECT_EQ(got.num_streams(), want.num_streams());
+    reference::expect_bitwise(got.rows, want.rows);
+    // The kept span trails the newest record by `lag`, or by a quarter of
+    // it after every fifth scan (a frame found near the newest record).
+    const bool frame = (i + 1) / step % 5 == 0;
+    consumed = std::max(consumed, now - (frame ? lag / 4 : lag));
+    const TimeUs keep_from =
+        consumed > history ? consumed - history : TimeUs{0};
+    const auto first_kept = static_cast<std::size_t>(
+        std::lower_bound(buffer.begin(), buffer.end(), keep_from,
+                         [](const wifi::CaptureRecord& r, TimeUs t) {
+                           return r.timestamp_us < t;
+                         }) -
+        buffer.begin());
+    if (first_kept > 0) {
+      scans.trim(buffer, first_kept);
+      buffer.erase(buffer.begin(),
+                   buffer.begin() + static_cast<long>(first_kept));
+    }
+  }
+  return scans.records_centered();
+}
+
+TEST(ScanConditioner, EveryScanMatchesTheWholeBufferScan) {
+  // make_ts steps ~425 us, so a 20 ms window holds ~47 records.
+  const TimeUs window{20'000};
+  const auto trace = make_trace(3'000, true, 1'700);
+  for (const auto source :
+       {MeasurementSource::kCsi, MeasurementSource::kRssi}) {
+    for (const TimeUs history : {window, TimeUs{45'000}, TimeUs{200'000}}) {
+      for (const std::size_t step : {std::size_t{1}, std::size_t{23}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "source " << static_cast<int>(source) << " history "
+                     << history.ticks() << " step " << step);
+        std::uint64_t whole = 0;
+        const std::uint64_t centered = expect_scans_match(
+            trace, source, window, step, TimeUs{8'000}, history, whole);
+        // A buffer of many blocks re-centers under half of what a
+        // whole-buffer scan centers.
+        if (history.ticks() >= 200'000) {
+          EXPECT_LT(centered, whole / 2);
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanConditioner, CursorWindowHoldingADroppedRecordRestarts) {
+  // Records 1 ms apart, a 20 ms window. The first call keeps rows from
+  // record 64 on, so its cursor parks at 64 with record 63's window,
+  // [53, 73] ms. Dropping records [0, 54) reaches up to record 63, so
+  // only block 0 reopens, but the cursor's window still holds record 53:
+  // the next call must not resume there.
+  const TimeUs window{20'000};
+  wifi::CaptureTrace buffer;
+  for (int i = 0; i < 300; ++i) {
+    buffer.push_back(record_at(TimeUs{i * 1'000}, 5.0 + (i * 7 % 11),
+                               -40.0 - (i * 5 % 13)));
+  }
+  const TimeUs keep_from = buffer[64].timestamp_us;
+  for (const auto source :
+       {MeasurementSource::kCsi, MeasurementSource::kRssi}) {
+    ScanConditioner scans(source, window);
+    wifi::CaptureTrace cut = buffer;
+    DecodeWorkspace ws;
+    ConditionedTrace got;
+    ConditionedTrace want;
+    collect_records(cut, source, ws);
+    scans.condition(ws, got, keep_from, TimeUs::max());
+    scans.trim(cut, 54);
+    cut.erase(cut.begin(), cut.begin() + 54);
+    collect_records(cut, source, ws);
+    scans.condition(ws, got, keep_from, TimeUs::max());
+    condition_records(source, window, ws, want, keep_from, TimeUs::max());
+    reference::expect_bitwise(got.rows, want.rows);
+  }
 }
 
 TEST(Conditioning, SinglePacketTrace) {
